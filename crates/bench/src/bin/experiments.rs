@@ -358,6 +358,13 @@ fn e5_3_table() {
     });
     row("1 write/value (simple)", "O(n)", "O(n)", slope);
 
+    // Row: read-map with plain writes and RMWs mixed — the paper has
+    // separate simple and RMW cells only; ours O(n) chain contraction.
+    let slope = sweep(&sizes, mixed_readmap_instance, |t| {
+        assert!(readmap::solve_readmap(t, Addr::ZERO).is_coherent());
+    });
+    row("1 write/value (mixed R/W + RMW)", "poly", "O(n)", slope);
+
     // Row: RMW read-map — paper O(n lg n), ours O(n) forced chain.
     let slope = sweep(&sizes, rmw_chain_instance, |t| {
         assert!(rmw::solve_rmw_readmap(t, Addr::ZERO).is_coherent());
@@ -463,6 +470,26 @@ fn readmap_instance(n: usize) -> Trace {
     for i in 0..n / 2 {
         let v = i as u64 + 1;
         hists[i % procs].push(Op::w(v));
+        hists[(i + 1) % procs].push(Op::r(v));
+    }
+    Trace::from_histories(hists.into_iter().map(ProcessHistory::from_ops))
+}
+
+/// A unique-value run mixing plain writes and RMWs across 4 processes:
+/// every third write is plain and starts a chain that the next two RMWs
+/// extend, and another process reads each value right after it is written.
+fn mixed_readmap_instance(n: usize) -> Trace {
+    use vermem_trace::{Op, ProcessHistory};
+    let procs = 4;
+    let mut hists = vec![Vec::new(); procs];
+    for i in 0..n / 2 {
+        let v = i as u64 + 1;
+        let op = if i % 3 == 0 {
+            Op::w(v)
+        } else {
+            Op::rw(v - 1, v)
+        };
+        hists[i % procs].push(op);
         hists[(i + 1) % procs].push(Op::r(v));
     }
     Trace::from_histories(hists.into_iter().map(ProcessHistory::from_ops))

@@ -13,7 +13,7 @@
 //! | general (NP-complete) | [`backtrack`] | [`solve_backtracking`] |
 //! | general via SAT | [`sat_encode`] | [`solve_sat`] |
 //! | constant #processes, O(n^k) | [`backtrack`] (memoized) | [`solve_backtracking`] |
-//! | 1 write/value (read-map), O(n) | [`readmap`] | [`readmap::solve_readmap`] |
+//! | 1 write/value (read-map), plain or mixed R/W + RMW, O(n) | [`readmap`] | [`readmap::solve_readmap`] |
 //! | 1 op/process simple, O(n lg n) | [`one_op`] | [`one_op::solve_one_op`] |
 //! | 1 op/process RMW, O(n²)→O(n) | [`rmw`] | [`rmw::solve_rmw_one_op`] |
 //! | RMW read-map, O(n lg n)→O(n) | [`rmw`] | [`rmw::solve_rmw_readmap`] |
@@ -126,7 +126,9 @@ use vermem_trace::{Addr, AddrIndex, AddrOps, Schedule, Trace};
 /// Which algorithm the dispatcher selected for an instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Linear read-map algorithm (1 write/value, simple ops).
+    /// Linear read-map algorithm (1 write/value, `d_I` never rewritten):
+    /// plain reads/writes, or plain ops mixed with RMWs contracted into
+    /// chains.
     ReadMap,
     /// Forced-chain algorithm (all RMW, 1 write/value).
     RmwReadMap,
@@ -239,10 +241,13 @@ impl VmcVerifier {
             Strategy::Backtracking => Algorithm::Backtracking,
             Strategy::Sat => Algorithm::SatEncoding,
             Strategy::Auto => {
-                if readmap::applicable_ops(ops) {
-                    Algorithm::ReadMap
-                } else if rmw::readmap_applicable_ops(ops) {
+                // All-RMW unique-value addresses keep the forced chain; the
+                // read-map solver takes plain and mixed ones (and the empty
+                // address, as before).
+                if rmw::readmap_applicable_ops(ops) && ops.has_rmw() {
                     Algorithm::RmwReadMap
+                } else if readmap::applicable_ops(ops) {
+                    Algorithm::ReadMap
                 } else if one_op::applicable_ops(ops) {
                     Algorithm::OneOpPerProc
                 } else if rmw::one_op_applicable_ops(ops) {
@@ -523,6 +528,12 @@ mod tests {
             .build();
         assert_eq!(v.select(&rmw_chain, Addr::ZERO), Algorithm::RmwReadMap);
 
+        let mixed = TraceBuilder::new()
+            .proc([Op::w(1u64), Op::rw(1u64, 2u64)])
+            .proc([Op::r(2u64)])
+            .build();
+        assert_eq!(v.select(&mixed, Addr::ZERO), Algorithm::ReadMap);
+
         let one_op = TraceBuilder::new()
             .proc([Op::w(1u64)])
             .proc([Op::w(1u64)])
@@ -541,6 +552,48 @@ mod tests {
             .proc([Op::w(1u64), Op::r(2u64), Op::w(2u64)])
             .build();
         assert_eq!(v.select(&hard, Addr::ZERO), Algorithm::Backtracking);
+    }
+
+    /// Every instance that the Figure 5.3 classifier puts in the polynomial
+    /// "1 write/value" row, with `d_I` never rewritten, reaches a fast path
+    /// rather than the exact search — plain, mixed or all-RMW alike.
+    #[test]
+    fn dispatcher_follows_the_classifier_on_one_write_per_value() {
+        use vermem_trace::classify::{InstanceProfile, KnownComplexity};
+        use vermem_trace::gen::{gen_sc_trace, GenConfig};
+        let v = VmcVerifier::new();
+        let mut mixed = 0;
+        for seed in 0..40u64 {
+            let (t, _) = gen_sc_trace(&GenConfig {
+                procs: 2 + (seed % 3) as usize,
+                total_ops: 24 + (seed % 5) as usize * 8,
+                addrs: 3,
+                write_fraction: 0.3,
+                rmw_fraction: 0.1 + (seed % 4) as f64 * 0.2,
+                value_reuse: 0.0,
+                seed,
+            });
+            for ops in AddrIndex::build(&t).iter() {
+                let profile = InstanceProfile::of_ops(ops);
+                let polynomial = matches!(
+                    profile.known_complexity(),
+                    KnownComplexity::Linear | KnownComplexity::Linearithmic
+                );
+                if polynomial
+                    && profile.max_writes_per_value <= 1
+                    && ops.writes_of(ops.initial()) == 0
+                {
+                    mixed += usize::from(ops.has_rmw() && !ops.all_rmw());
+                    assert_ne!(
+                        v.select_ops(ops),
+                        Algorithm::Backtracking,
+                        "seed {seed} addr {:?}: {profile:?}",
+                        ops.addr()
+                    );
+                }
+            }
+        }
+        assert!(mixed > 20, "only {mixed} mixed instances generated");
     }
 
     #[test]

@@ -43,11 +43,13 @@
 //! value equal to the last committed write. The greedy placement *is* a
 //! coherent schedule for the address — commit order as the write order,
 //! each read inserted at its placed slot — so the address is coherent; and
-//! because the class is exactly the one the batch dispatcher sends to the
+//! because the class lies inside the one the batch dispatcher sends to the
 //! (complete) read-map solver, the batch verdict is `Coherent` with
 //! `Tier::Frontline` and zero search stats: precisely what the sealed path
-//! reports. Every other case escalates to the same exact kernel the batch
-//! engine runs. Retirement never flips a verdict: dropping raw ops is only
+//! reports. Every other case goes through the same dispatcher the batch
+//! engine runs: a Figure 5.3 fast path where one applies (the read-map
+//! solver for any unique-value address, plain or mixed), the closure and
+//! the exact kernel otherwise. Retirement never flips a verdict: dropping raw ops is only
 //! a bet that the address will seal — if it later pins, the ops are
 //! re-materialized losslessly by the replay pass; retiring committed slots
 //! below the global read frontier can at worst make the monitor *defer* a
