@@ -31,7 +31,7 @@
 //! loadable in Perfetto / `chrome://tracing`.
 
 use std::time::Instant;
-use vermem_bench::{loglog_slope, mean_growth_ratio, median_secs};
+use vermem_bench::{loglog_slope, mean_growth_ratio, median_secs, median_secs_ab};
 use vermem_coherence::{
     one_op, readmap, rmw, solve_backtracking, solve_backtracking_with_stats,
     solve_with_write_order, verify_execution_par, PruneConfig, SearchConfig, TierConfig, TierStats,
@@ -926,7 +926,7 @@ fn e_par_scaling(write_json: bool) {
     println!("\nE-STREAM sharded bounded-memory streaming engine:");
     print_estream_table(&estream, &bounded);
 
-    let hotpath = hotpath_ablation(reps);
+    let hotpath = hotpath_ablation();
     println!("\nE-HOTPATH dense-slab ingest structures vs the std-HashMap baseline:");
     print_hotpath_table(&hotpath);
 
@@ -1861,14 +1861,23 @@ fn e_stream() {
 /// pre-dense std-`HashMap` structures re-homed behind
 /// `HotPathConfig::legacy_structures` — after a parity pass asserting the
 /// two strategies produce bit-identical reports at jobs 1, 2 and 8.
-fn hotpath_ablation(reps: usize) -> Vec<HotpathRow> {
+fn hotpath_ablation() -> Vec<HotpathRow> {
     const WINDOW: usize = 256;
+    // Dense/legacy pairs per stream count; the speedup column is the
+    // median over these pairs of legacy/dense time. With fewer pairs a few
+    // scheduler hiccups could swing the ratio that verify.sh gates.
+    const REPS: usize = 21;
+    // Every timed rep ingests `SAMPLE_STREAMS` streams' worth of events:
+    // the stream set is passed over `SAMPLE_STREAMS / streams` times, so
+    // the 1-stream rep is as long as the 16-stream one and one hiccup
+    // moves its median as little.
+    const SAMPLE_STREAMS: usize = 16;
     // Longer streams than E-STREAM: this ablation measures the *ingest*
     // structures, so the workload must be ingest-dominated (the finish
-    // phase solves identical instances on both paths). The size is NOT
-    // reduced under VERMEM_BENCH_FAST — verify.sh gates the fast fresh
-    // rows' throughput against the committed full-mode receipt, so the
-    // two must measure the same workload (only `reps` differs).
+    // phase solves identical instances on both paths). Neither the size
+    // nor `REPS` is reduced under VERMEM_BENCH_FAST — verify.sh gates the
+    // fast fresh rows' speedup against the committed full-mode receipt,
+    // so the two must measure the same workload the same way.
     let instrs = 1_500;
     let config = |legacy: bool, jobs: usize| vermem_coherence::StreamConfig {
         window: Some(WINDOW),
@@ -1915,18 +1924,22 @@ fn hotpath_ablation(reps: usize) -> Vec<HotpathRow> {
                 }
             }
         }
-        let time = |legacy: bool| {
-            median_secs(reps, || {
+        let passes = SAMPLE_STREAMS / streams;
+        let sample = |legacy: bool| {
+            for _ in 0..passes {
                 for bytes in &byte_streams {
                     let report = vermem_coherence::verify_stream_bytes(bytes, config(legacy, 1))
                         .expect("stream decodes");
                     assert!(report.events > 0);
                 }
-            })
-            .max(1e-12)
+            }
         };
-        let dense_secs = time(false);
-        let legacy_secs = time(true);
+        // Interleaved dense/legacy reps: the speedup column is a ratio of
+        // two arms, so drift between them must not land on one arm only.
+        let (dense_secs, legacy_secs, speedup) =
+            median_secs_ab(REPS, || sample(false), || sample(true));
+        let per_pass = |secs: f64| (secs / passes as f64).max(1e-12);
+        let (dense_secs, legacy_secs) = (per_pass(dense_secs), per_pass(legacy_secs));
         rows.push(HotpathRow {
             streams,
             config: "dense",
@@ -1934,7 +1947,7 @@ fn hotpath_ablation(reps: usize) -> Vec<HotpathRow> {
             events,
             median_secs: dense_secs,
             sustained_ops_per_sec: events as f64 / dense_secs,
-            speedup_vs_legacy: legacy_secs / dense_secs,
+            speedup_vs_legacy: speedup,
             verdict_parity: true,
         });
         rows.push(HotpathRow {
@@ -1975,9 +1988,7 @@ fn print_hotpath_table(rows: &[HotpathRow]) {
 /// the `--json` receipt run includes the same rows in BENCH_vmc.json.
 fn e_hotpath() {
     header("E-HOTPATH  dense-slab ingest structures vs the std-HashMap baseline");
-    let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
-    let reps = if fast { 3 } else { 7 };
-    let rows = hotpath_ablation(reps);
+    let rows = hotpath_ablation();
     print_hotpath_table(&rows);
 }
 

@@ -20,6 +20,34 @@ pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Two arms timed over `reps` runs each in interleaved `a, b, a, b, …`
+/// order. Returns `(median_a, median_b, median_ratio)`: the two medians in
+/// seconds, and the median over the `reps` adjacent pairs of `b / a`.
+///
+/// The pairwise ratio is the steadier estimate of how much faster `a` is:
+/// the two runs of a pair sit next to each other in time, so a slow phase
+/// of the host slows both, where a ratio of the two medians can take its
+/// numerator and denominator from different phases.
+pub fn median_secs_ab(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, f64) {
+    assert!(reps > 0);
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut sa, mut sb) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        sa.push(time(&mut a));
+        sb.push(time(&mut b));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let ratios: Vec<f64> = sa.iter().zip(&sb).map(|(x, y)| y / x).collect();
+    (median(sa), median(sb), median(ratios))
+}
+
 /// Least-squares slope of `log(y)` against `log(x)` — the empirical growth
 /// exponent of a runtime series. A slope near `k` supports an O(n^k) bound.
 pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
@@ -78,5 +106,17 @@ mod tests {
             std::hint::black_box(0);
         });
         assert!(t >= 0.0);
+    }
+
+    #[test]
+    fn paired_arms_run_interleaved() {
+        let order = std::cell::RefCell::new(String::new());
+        let (a, b, _) = median_secs_ab(
+            3,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(order.into_inner(), "ababab");
+        assert!(a >= 0.0 && b >= 0.0);
     }
 }

@@ -373,11 +373,23 @@ pub fn solve_escalated_ops_with_stats(
     let initial = ops.initial();
     let final_value = ops.final_value();
 
-    let mut remaining_writes: FxHashMap<Value, u32> = ops
-        .write_counts()
-        .iter()
-        .map(|(&v, &c)| (v, c as u32))
-        .collect();
+    // Remaining writes per written value, indexed by dense value id (the
+    // value's rank in the sorted `write_counts`), with every op's read and
+    // written value resolved to its id once per solve.
+    let written: Vec<Value> = ops.write_counts().keys().copied().collect();
+    let remaining_writes: Vec<u32> = ops.write_counts().values().map(|&c| c as u32).collect();
+    let vid = |v: Value| written.binary_search(&v).map_or(NO_VID, |i| i as u32);
+    let mut proc_start = Vec::with_capacity(per_proc.len());
+    let mut op_vids = Vec::with_capacity(total);
+    for h in per_proc {
+        proc_start.push(op_vids.len() as u32);
+        op_vids.extend(h.iter().map(|&(_, op)| {
+            (
+                op.read_value().map_or(NO_VID, vid),
+                op.written_value().map_or(NO_VID, vid),
+            )
+        }));
+    }
 
     // Hash-consed program-order suffix classes (computed only when a
     // technique that consumes them is on): two `(proc, index)` positions
@@ -401,6 +413,10 @@ pub fn solve_escalated_ops_with_stats(
         per_proc,
         total,
         final_value,
+        final_vid: final_value.map_or(NO_VID, vid),
+        remaining_writes,
+        proc_start,
+        op_vids,
         visited: Visited::for_instance(per_proc, cfg),
         schedule: Vec::with_capacity(total),
         cfg: *cfg,
@@ -412,6 +428,8 @@ pub fn solve_escalated_ops_with_stats(
         nogoods: FxHashSet::default(),
         nogood_scratch: Vec::new(),
         class_scratch: Vec::new(),
+        move_stack: Vec::new(),
+        demanded: Vec::new(),
         // Decide once per solve: a local depth histogram only when
         // observability is recording, so the disabled hot path carries
         // no `Option` update at all (the `if let` never matches).
@@ -422,7 +440,7 @@ pub fn solve_escalated_ops_with_stats(
         },
     };
     let mut frontier = vec![0u32; per_proc.len()];
-    let found = search.dfs(&mut frontier, initial, &mut remaining_writes);
+    let found = search.dfs(&mut frontier, initial);
     let budget_hit = search.budget_hit;
     let schedule = std::mem::take(&mut search.schedule);
     let memo_key_kind = match &search.visited {
@@ -486,16 +504,28 @@ enum Visited {
     Legacy(HashSet<(Vec<u32>, Value)>),
 }
 
+/// Memo table pre-size for a budgeted search: `max_states + 1` entries
+/// (what it inserts before the budget trips), capped here. A table grown
+/// from empty rehashes at every doubling; the cap is the 95th percentile
+/// of states per escalated solve on the `verify-reuse` benchmark corpus
+/// (2,000-state budget: median 122, 95th percentile 955, mean 252), so
+/// nearly every such solve runs without a rehash, and the rare long one
+/// grows from there.
+const MEMO_PRESIZE_CAP: u64 = 1 << 10;
+
 impl Visited {
     fn for_instance(per_proc: &[Vec<(OpRef, Op)>], cfg: &SearchConfig) -> Visited {
+        let cap = cfg
+            .max_states
+            .map_or(0, |m| m.saturating_add(1).min(MEMO_PRESIZE_CAP)) as usize;
         if cfg.legacy_memo_keys {
             Visited::Legacy(HashSet::new())
         } else if per_proc.len() <= 8 && per_proc.iter().all(|v| v.len() <= u8::MAX as usize) {
-            Visited::Packed(FxHashSet::default())
+            Visited::Packed(FxHashSet::with_capacity_and_hasher(cap, Default::default()))
         } else {
             Visited::Interned {
                 ids: SliceInterner::new(),
-                seen: FxHashSet::default(),
+                seen: FxHashSet::with_capacity_and_hasher(cap, Default::default()),
             }
         }
     }
@@ -548,10 +578,24 @@ fn suffix_classes(per_proc: &[Vec<(OpRef, Op)>]) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// Dense value id of a value no op writes.
+const NO_VID: u32 = u32::MAX;
+
+/// A branching move: `(hot, process, ref, op)`.
+type Move = (bool, usize, OpRef, Op);
+
 struct Search<'a> {
     per_proc: &'a [Vec<(OpRef, Op)>],
     total: usize,
     final_value: Option<Value>,
+    /// Dense value id of the final value ([`NO_VID`] if none or unwritten).
+    final_vid: u32,
+    /// Writes not yet scheduled, per dense value id.
+    remaining_writes: Vec<u32>,
+    /// `op_vids[proc_start[p] + j]` is the `(read, written)` dense value id
+    /// pair of op `j` of process `p` ([`NO_VID`] where absent).
+    proc_start: Vec<u32>,
+    op_vids: Vec<(u32, u32)>,
     visited: Visited,
     schedule: Vec<OpRef>,
     cfg: SearchConfig,
@@ -577,20 +621,33 @@ struct Search<'a> {
     nogood_scratch: Vec<u64>,
     /// Branch-time symmetry dedup scratch.
     class_scratch: Vec<u32>,
+    /// Every open frame's moves: a frame pushes its own above the length
+    /// it found, and truncates back to it on return.
+    move_stack: Vec<Move>,
+    /// Values some blocked read is waiting for (move-ordering scratch).
+    demanded: Vec<Value>,
     /// `Some` only while observability is enabled: per-state schedule
     /// depths, batch-merged into the registry at solve end.
     depth_hist: Option<obs::Histogram>,
 }
 
 impl Search<'_> {
+    /// Dense `(read, written)` value ids of the next op of process `p` at
+    /// frontier position `f`.
+    #[inline]
+    fn vids(&self, p: usize, f: u32) -> (u32, u32) {
+        self.op_vids[(self.proc_start[p] + f) as usize]
+    }
+
+    /// Writes of dense value id `v` not yet scheduled (0 for [`NO_VID`]).
+    #[inline]
+    fn remaining(&self, v: u32) -> u32 {
+        self.remaining_writes.get(v as usize).copied().unwrap_or(0)
+    }
+
     /// Returns true if a completing schedule was found (left in
     /// `self.schedule`).
-    fn dfs(
-        &mut self,
-        frontier: &mut Vec<u32>,
-        mut current: Value,
-        remaining_writes: &mut FxHashMap<Value, u32>,
-    ) -> bool {
+    fn dfs(&mut self, frontier: &mut Vec<u32>, current: Value) -> bool {
         // Greedy absorption of matching pure reads.
         let absorbed_base = self.schedule.len();
         if self.cfg.greedy_absorption {
@@ -655,19 +712,17 @@ impl Search<'_> {
         // Dead-end checks on blocked reads and the final value.
         for (p, &f) in frontier.iter().enumerate() {
             if let Some(&(_, op)) = self.per_proc[p].get(f as usize) {
-                if let Some(need) = op.read_value() {
-                    if need != current && remaining_writes.get(&need).copied().unwrap_or(0) == 0 {
-                        undo(self, frontier);
-                        return false;
-                    }
+                if op.read_value().is_some_and(|need| need != current)
+                    && self.remaining(self.vids(p, f).0) == 0
+                {
+                    undo(self, frontier);
+                    return false;
                 }
             }
         }
-        if let Some(fv) = self.final_value {
-            if current != fv && remaining_writes.get(&fv).copied().unwrap_or(0) == 0 {
-                undo(self, frontier);
-                return false;
-            }
+        if self.final_value.is_some_and(|fv| fv != current) && self.remaining(self.final_vid) == 0 {
+            undo(self, frontier);
+            return false;
         }
 
         // Nogood probe (PR 4, technique 3): the canonical key erases
@@ -688,19 +743,19 @@ impl Search<'_> {
             }
         }
 
-        // Collect write-capable moves, preferring writes whose value some
-        // blocked read is waiting for.
-        let mut demanded: FxHashSet<Value> = FxHashSet::default();
+        // Collect write-capable moves onto the shared move stack,
+        // preferring writes whose value some blocked read is waiting for.
+        self.demanded.clear();
         for (p, &f) in frontier.iter().enumerate() {
             if let Some(&(_, op)) = self.per_proc[p].get(f as usize) {
                 if let Some(need) = op.read_value() {
-                    if need != current {
-                        demanded.insert(need);
+                    if need != current && !self.demanded.contains(&need) {
+                        self.demanded.push(need);
                     }
                 }
             }
         }
-        let mut moves: Vec<(bool, usize, OpRef, Op)> = Vec::new();
+        let base = self.move_stack.len();
         for (p, &f) in frontier.iter().enumerate() {
             if let Some(&(r, op)) = self.per_proc[p].get(f as usize) {
                 let enabled = match op {
@@ -711,8 +766,10 @@ impl Search<'_> {
                     Op::Read { value, .. } => !self.cfg.greedy_absorption && value == current,
                 };
                 if enabled {
-                    let hot = op.written_value().is_some_and(|v| demanded.contains(&v));
-                    moves.push((hot, p, r, op));
+                    let hot = op
+                        .written_value()
+                        .is_some_and(|v| self.demanded.contains(&v));
+                    self.move_stack.push((hot, p, r, op));
                 }
             }
         }
@@ -722,31 +779,31 @@ impl Search<'_> {
         // other does (role-swap of the identical suffixes) — so only the
         // first (lowest process id) branches. Done before the hot sort,
         // which is stable and cannot separate equal-suffix moves (equal
-        // suffix ⇒ equal op ⇒ equal hotness).
-        if self.cfg.prune.symmetry && moves.len() > 1 {
-            let mut seen = std::mem::take(&mut self.class_scratch);
-            seen.clear();
-            let mut pruned = 0u64;
-            moves.retain(|&(_, p, _, _)| {
-                let sc = self.suffix_class[p][frontier[p] as usize];
-                if seen.contains(&sc) {
-                    pruned += 1;
-                    false
+        // suffix ⇒ equal op ⇒ equal hotness). Filtered in place.
+        if self.cfg.prune.symmetry && self.move_stack.len() - base > 1 {
+            self.class_scratch.clear();
+            let mut kept = base;
+            for k in base..self.move_stack.len() {
+                let m = self.move_stack[k];
+                let sc = self.suffix_class[m.1][frontier[m.1] as usize];
+                if self.class_scratch.contains(&sc) {
+                    self.stats.symmetry_prunes += 1;
                 } else {
-                    seen.push(sc);
-                    true
+                    self.class_scratch.push(sc);
+                    self.move_stack[kept] = m;
+                    kept += 1;
                 }
-            });
-            self.class_scratch = seen;
-            self.stats.symmetry_prunes += pruned;
+            }
+            self.move_stack.truncate(kept);
         }
 
         // Hot moves first.
         if self.cfg.hot_move_ordering {
-            moves.sort_by_key(|&(hot, ..)| std::cmp::Reverse(hot));
+            self.move_stack[base..].sort_by_key(|&(hot, ..)| std::cmp::Reverse(hot));
         }
 
-        for (_, p, r, op) in moves {
+        for k in base..self.move_stack.len() {
+            let (_, p, r, op) = self.move_stack[k];
             // Window prune (PR 4, technique 1): the op would occupy
             // schedule position `len`; if its propagated feasibility
             // window excludes that position, no coherent schedule places
@@ -758,25 +815,29 @@ impl Search<'_> {
                 }
             }
             self.stats.branches += 1;
-            let saved = current;
+            let written = self.vids(p, frontier[p]).1;
             self.schedule.push(r);
             frontier[p] += 1;
-            if let Some(written) = op.written_value() {
-                *remaining_writes.get_mut(&written).expect("counted") -= 1;
-                current = written;
-            }
+            let next = match op.written_value() {
+                Some(v) => {
+                    self.remaining_writes[written as usize] -= 1;
+                    v
+                }
+                None => current,
+            };
 
-            if self.dfs(frontier, current, remaining_writes) {
+            if self.dfs(frontier, next) {
+                self.move_stack.truncate(base);
                 return true;
             }
 
-            current = saved;
-            if let Some(written) = op.written_value() {
-                *remaining_writes.get_mut(&written).expect("counted") += 1;
+            if written != NO_VID {
+                self.remaining_writes[written as usize] += 1;
             }
             frontier[p] -= 1;
             self.schedule.pop();
         }
+        self.move_stack.truncate(base);
 
         // Every move failed: this `(frontier, value)` state is refuted.
         // Learn its canonical projection as a nogood — unless a budget

@@ -58,8 +58,8 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vermem_trace::{AddrOps, Op, OpRef, Value};
-use vermem_util::bitset::{BitRow, BitSet};
-use vermem_util::hash::{FxHashMap, FxHashSet};
+use vermem_util::bitset::{self, BitRow, BitSet};
+use vermem_util::densemap::DenseMap;
 
 /// Per-operation feasible position windows, indexed densely by
 /// `(process, program-order index)`.
@@ -124,44 +124,86 @@ const MAX_ROUNDS: usize = 32;
 /// (skipping only prunes less — still sound).
 const MAX_DEEP_OPS: usize = 256;
 
-/// Record `a → b` in the must-precede graph unless already present.
-/// Returns true when the edge is new.
-fn add_edge(
-    a: u32,
-    b: u32,
-    succs: &mut [Vec<u32>],
-    preds: &mut [Vec<u32>],
-    seen: &mut FxHashSet<(u32, u32)>,
-) -> bool {
-    if a != b && seen.insert((a, b)) {
-        succs[a as usize].push(b);
-        preds[b as usize].push(a);
-        true
-    } else {
-        false
+/// Largest address whose buffers the per-thread scratch keeps for reuse.
+const MAX_RETAINED_OPS: usize = 1 << 14;
+
+/// Sentinel "no value id" in the per-op dense value-id columns.
+const NO_VAL: u32 = u32::MAX;
+
+/// Fast-accept priority key: lowest `(lo, hi, id)` first.
+type ReadyKey = Reverse<(u32, u32, u32)>;
+
+/// The must-precede graph with edge deduplication. Up to `MAX_DEEP_OPS`
+/// ops the edge set is an `n × n` bit matrix; above it a sparse
+/// open-addressed set keyed `(a << 32) | b`, so a 100k-op address never
+/// allocates `n²` bits. The deep rules re-probe every fr edge each round,
+/// and there a bit test beats a hash probe: with the sparse set alone
+/// for every `n`, the closure's self-time on the `verify-reuse`
+/// benchmark corpus rose from 369 to 492 ms per pass (medians of seven
+/// alternating runs on a 2-vCPU x86-64 guest).
+#[derive(Default)]
+struct Graph {
+    succs: Vec<Vec<u32>>,
+    preds: Vec<Vec<u32>>,
+    dense: BitSet,
+    sparse: DenseMap<u64, ()>,
+    /// Op count of the current address.
+    n: usize,
+    is_dense: bool,
+}
+
+impl Graph {
+    /// Re-shape to `n` ops with no edges, keeping every buffer.
+    fn reset(&mut self, n: usize) {
+        if !self.is_dense {
+            // Remove the previous address's edges one by one: clearing the
+            // whole table would cost its high-water capacity per address.
+            for (a, succs) in self.succs[..self.n].iter().enumerate() {
+                for &b in succs {
+                    self.sparse.remove(edge_key(a as u32, b));
+                }
+            }
+        }
+        for adj in [&mut self.succs, &mut self.preds] {
+            if adj.len() < n {
+                adj.resize_with(n, Vec::new);
+            }
+            adj[..n].iter_mut().for_each(Vec::clear);
+        }
+        self.n = n;
+        self.is_dense = n <= MAX_DEEP_OPS;
+        if self.is_dense {
+            self.dense.reset(n, n);
+        }
+    }
+
+    /// Record `a → b` unless already present. Returns true when the edge
+    /// is new.
+    fn add(&mut self, a: u32, b: u32) -> bool {
+        if a == b {
+            return false;
+        }
+        let new = if self.is_dense {
+            let (a, b) = (a as usize, b as usize);
+            let new = !self.dense.test(a, b);
+            if new {
+                self.dense.set(a, b);
+            }
+            new
+        } else {
+            self.sparse.insert(edge_key(a, b), ()).is_none()
+        };
+        if new {
+            self.succs[a as usize].push(b);
+            self.preds[b as usize].push(a);
+        }
+        new
     }
 }
 
-/// Reusable per-thread scratch for the fixpoint rounds. Every round of
-/// every address re-shapes these to its geometry and zeroes in place;
-/// memory is allocated only when an address outgrows the thread's
-/// high-water mark, so steady-state analysis rounds allocate nothing.
-#[derive(Default)]
-struct Scratch {
-    /// In-degrees of the must-precede graph (topological sort).
-    indeg: Vec<u32>,
-    /// Zero-in-degree work stack (topological sort).
-    queue: Vec<u32>,
-    /// The round's topological order.
-    order: Vec<u32>,
-    /// Transitive-closure matrix: row `i` holds the ops provably after `i`.
-    reach: BitSet,
-    /// Writes that must precede the read under scrutiny.
-    writes_before: BitRow,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+/// Sparse edge-set key of `a → b`.
+fn edge_key(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
 }
 
 struct ReadInfo {
@@ -173,8 +215,68 @@ struct ReadInfo {
     prev_write: Option<u32>,
     /// True while the initial value `d_I` remains a viable server.
     has_init: bool,
-    /// Surviving candidate serving writes (dense ids).
-    cands: Vec<u32>,
+    /// Surviving candidate serving writes (dense ids):
+    /// `cand_pool[start..start + len]`.
+    start: usize,
+    len: usize,
+}
+
+/// Reusable per-thread scratch for the whole analysis. Every address
+/// re-shapes these to its geometry and clears in place; memory is
+/// allocated only when an address outgrows the thread's high-water mark,
+/// so steady-state analysis allocates nothing beyond its returned value.
+#[derive(Default)]
+struct Scratch {
+    /// Ops in dense-id order: `(process, ref, op)`.
+    flat: Vec<(usize, OpRef, Op)>,
+    /// Sorted, deduplicated values of the address; a value's dense id is
+    /// its index here.
+    vals: Vec<Value>,
+    /// Dense id of each op's read value ([`NO_VAL`] for plain writes).
+    read_vid: Vec<u32>,
+    /// Dense id of each op's written value ([`NO_VAL`] for plain reads).
+    write_vid: Vec<u32>,
+    /// Writers per value id, CSR: value `v`'s writers are
+    /// `writer_ids[writer_start[v]..writer_start[v + 1]]`, ascending.
+    writer_start: Vec<u32>,
+    writer_ids: Vec<u32>,
+    /// RMW reads per value id (the pigeonhole count).
+    rmw_reads: Vec<u32>,
+    /// Dense ids of the writing ops, and the same set as a bit row.
+    write_ids: Vec<u32>,
+    write_mask: BitRow,
+    /// Reads (and RMW read components) with their candidate ranges.
+    reads: Vec<ReadInfo>,
+    /// Every read's candidate serving writes, one range per read.
+    cand_pool: Vec<u32>,
+    /// Position windows.
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+    graph: Graph,
+    /// In-degrees of the must-precede graph (topological sort).
+    indeg: Vec<u32>,
+    /// Zero-in-degree work stack (topological sort).
+    queue: Vec<u32>,
+    /// The round's topological order.
+    order: Vec<u32>,
+    /// Transitive closure: row `i` holds the ops provably after `i`.
+    reach: BitSet,
+    /// Its transpose: row `i` holds the ops provably before `i`.
+    pred_reach: BitSet,
+    /// Writes that must precede the read under scrutiny.
+    writes_before: BitRow,
+    /// Fast-accept buckets per value id: released plain reads and RMWs
+    /// waiting for their read value.
+    ready_reads: Vec<BinaryHeap<ReadyKey>>,
+    ready_rmws: Vec<BinaryHeap<ReadyKey>>,
+    /// Released plain writes (always eligible).
+    ready_writes: BinaryHeap<ReadyKey>,
+    /// The fast-accept simulation's schedule (dense ids).
+    sched: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Run feasibility-interval propagation on one address's operations.
@@ -183,60 +285,118 @@ struct ReadInfo {
 /// never-written values and unproducible finals; this pass assumes nothing
 /// beyond that and re-proves what it needs).
 pub fn analyze(ops: &AddrOps) -> WindowOutcome {
-    SCRATCH.with(|s| analyze_with(ops, &mut s.borrow_mut()))
+    SCRATCH.with(|s| {
+        let mut scratch = s.borrow_mut();
+        let out = analyze_with(ops, &mut scratch);
+        if ops.num_ops() > MAX_RETAINED_OPS {
+            // One huge address must not pin its O(n) buffers in this
+            // thread for the rest of its life.
+            *scratch = Scratch::default();
+        }
+        out
+    })
 }
 
 fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     let Scratch {
+        flat,
+        vals,
+        read_vid,
+        write_vid,
+        writer_start,
+        writer_ids,
+        rmw_reads,
+        write_ids,
+        write_mask,
+        reads,
+        cand_pool,
+        lo,
+        hi,
+        graph,
         indeg,
         queue,
         order,
         reach,
+        pred_reach,
         writes_before,
+        ready_reads,
+        ready_rmws,
+        ready_writes,
+        sched,
     } = scratch;
     let per_proc = ops.per_proc();
     let n = ops.num_ops();
     let initial = ops.initial();
 
-    // Dense layout.
-    let mut offsets = Vec::with_capacity(per_proc.len());
-    let mut acc = 0u32;
-    for h in per_proc {
-        offsets.push(acc);
-        acc += h.len() as u32;
-    }
-    let mut flat: Vec<(usize, u32, OpRef, Op)> = Vec::with_capacity(n);
+    // Dense layout, with program-order position bounds.
+    flat.clear();
+    lo.clear();
+    hi.clear();
     for (p, h) in per_proc.iter().enumerate() {
+        let len = h.len() as u32;
         for (j, &(r, op)) in h.iter().enumerate() {
-            flat.push((p, j as u32, r, op));
+            let j = j as u32;
+            flat.push((p, r, op));
+            lo.push(j);
+            hi.push(n as u32 - (len - j));
         }
     }
 
-    // Program-order position bounds.
-    let mut lo = vec![0u32; n];
-    let mut hi = vec![0u32; n];
-    for (i, &(p, j, _, _)) in flat.iter().enumerate() {
-        let len = per_proc[p].len() as u32;
-        lo[i] = j;
-        hi[i] = n as u32 - (len - j);
+    // Dense value ids.
+    vals.clear();
+    for &(_, _, op) in flat.iter() {
+        vals.extend(op.read_value());
+        vals.extend(op.written_value());
     }
+    vals.sort_unstable();
+    vals.dedup();
+    let vid = |v: Value| vals.binary_search(&v).map_or(NO_VAL, |i| i as u32);
+    read_vid.clear();
+    write_vid.clear();
+    for &(_, _, op) in flat.iter() {
+        read_vid.push(op.read_value().map_or(NO_VAL, vid));
+        write_vid.push(op.written_value().map_or(NO_VAL, vid));
+    }
+    let nvals = vals.len();
 
-    // Writers per value, and the RMW pigeonhole.
-    let mut writers: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-    let mut rmw_reads: FxHashMap<Value, usize> = FxHashMap::default();
-    for (i, &(_, _, _, op)) in flat.iter().enumerate() {
-        if let Some(v) = op.written_value() {
-            writers.entry(v).or_default().push(i as u32);
+    // Writers per value (CSR), and the RMW pigeonhole.
+    writer_start.clear();
+    writer_start.resize(nvals + 1, 0);
+    rmw_reads.clear();
+    rmw_reads.resize(nvals, 0);
+    write_ids.clear();
+    for (i, &(_, _, op)) in flat.iter().enumerate() {
+        if op.is_writing() {
+            write_ids.push(i as u32);
+            writer_start[write_vid[i] as usize + 1] += 1;
         }
         if op.is_rmw() {
-            if let Some(v) = op.read_value() {
-                *rmw_reads.entry(v).or_insert(0) += 1;
-            }
+            rmw_reads[read_vid[i] as usize] += 1;
         }
     }
-    for (&v, &consumers) in &rmw_reads {
-        let supply = writers.get(&v).map_or(0, Vec::len) + usize::from(v == initial);
-        if consumers > supply {
+    for v in 0..nvals {
+        writer_start[v + 1] += writer_start[v];
+    }
+    writer_ids.clear();
+    writer_ids.resize(write_ids.len(), 0);
+    for &w in write_ids.iter() {
+        let slot = &mut writer_start[write_vid[w as usize] as usize];
+        writer_ids[*slot as usize] = w;
+        *slot += 1;
+    }
+    // The fill advanced each start to its successor's; shift back.
+    writer_start.rotate_right(1);
+    writer_start[0] = 0;
+    let writers = |v: u32| -> &[u32] {
+        if v == NO_VAL {
+            return &[];
+        }
+        let v = v as usize;
+        &writer_ids[writer_start[v] as usize..writer_start[v + 1] as usize]
+    };
+    for (v, &consumers) in rmw_reads.iter().enumerate() {
+        let supply = writers(v as u32).len() + usize::from(vals[v] == initial);
+        if consumers as usize > supply {
             // More atomic observers of `v` than distinct suppliers: the
             // latest-write-before an RMW is unique per RMW (an RMW is
             // itself a write), so this is a pigeonhole contradiction.
@@ -245,71 +405,64 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     }
 
     // Initial serving-candidate sets.
-    let mut reads: Vec<ReadInfo> = Vec::new();
-    let mut pairs = 0usize;
+    reads.clear();
+    cand_pool.clear();
+    let mut id = 0u32;
     for (p, h) in per_proc.iter().enumerate() {
         let mut prev_write: Option<u32> = None;
-        for (j, &(_, op)) in h.iter().enumerate() {
-            let id = offsets[p] + j as u32;
+        for &(_, op) in h {
             if let Some(v) = op.read_value() {
                 let has_init = v == initial && prev_write.is_none();
-                let mut cands = Vec::new();
-                if let Some(ws) = writers.get(&v) {
-                    for &w in ws {
-                        if w == id {
-                            continue; // an RMW cannot serve its own read
-                        }
-                        let (wp, _, _, _) = flat[w as usize];
-                        if wp == p && prev_write != Some(w) {
-                            // Own-process writes other than the last one
-                            // before the read are shadowed by it (or are
-                            // program-order after the read).
-                            continue;
-                        }
-                        cands.push(w);
+                let start = cand_pool.len();
+                for &w in writers(read_vid[id as usize]) {
+                    if w == id {
+                        continue; // an RMW cannot serve its own read
                     }
+                    if flat[w as usize].0 == p && prev_write != Some(w) {
+                        // Own-process writes other than the last one
+                        // before the read are shadowed by it (or are
+                        // program-order after the read).
+                        continue;
+                    }
+                    cand_pool.push(w);
                 }
-                if cands.is_empty() && !has_init {
+                let len = cand_pool.len() - start;
+                if len == 0 && !has_init {
                     return WindowOutcome::Infeasible;
                 }
-                pairs += cands.len();
                 reads.push(ReadInfo {
                     id,
                     prev_write,
                     has_init,
-                    cands,
+                    start,
+                    len,
                 });
             }
             if op.is_writing() {
                 prev_write = Some(id);
             }
+            id += 1;
         }
     }
+    let pairs = cand_pool.len();
 
     // Must-precede graph: program order seeds it; forced serving, fr, and
     // final-value edges join during the fixpoint.
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut edge_seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-    for (p, h) in per_proc.iter().enumerate() {
-        for j in 1..h.len() {
-            let a = offsets[p] + j as u32 - 1;
-            let b = offsets[p] + j as u32;
-            succs[a as usize].push(b);
-            preds[b as usize].push(a);
-            edge_seen.insert((a, b));
+    graph.reset(n);
+    for i in 1..n {
+        if flat[i].0 == flat[i - 1].0 {
+            graph.add(i as u32 - 1, i as u32);
         }
     }
 
-    let write_ids: Vec<u32> = flat
-        .iter()
-        .enumerate()
-        .filter(|(_, &(_, _, _, op))| op.is_writing())
-        .map(|(i, _)| i as u32)
-        .collect();
-
     let skip_fixpoint = pairs > MAX_CANDIDATE_PAIRS;
     let deep = !skip_fixpoint && n <= MAX_DEEP_OPS;
+    if deep {
+        write_mask.reset(n);
+        for &w in write_ids.iter() {
+            write_mask.set(w as usize);
+        }
+    }
 
     // Final-value edge: the last write of every coherent schedule produces
     // the dumped final value, so a *unique* writer of that value must
@@ -317,18 +470,16 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     // writer at all is a contradiction unless the final value is the
     // (never overwritten) initial value; that check is always on.
     if let Some(f) = ops.final_value() {
-        match writers.get(&f).map(Vec::as_slice) {
-            Some(&[wf]) if deep => {
-                for &w in &write_ids {
-                    add_edge(w, wf, &mut succs, &mut preds, &mut edge_seen);
+        match writers(vid(f)) {
+            &[wf] if deep => {
+                for &w in write_ids.iter() {
+                    graph.add(w, wf);
                 }
             }
-            Some(_) => {}
-            None => {
-                if f != initial || !write_ids.is_empty() {
-                    return WindowOutcome::Infeasible;
-                }
+            [] if f != initial || !write_ids.is_empty() => {
+                return WindowOutcome::Infeasible;
             }
+            _ => {}
         }
     }
 
@@ -337,6 +488,7 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     while changed && rounds < MAX_ROUNDS && !skip_fixpoint {
         changed = false;
         rounds += 1;
+        let (succs, preds) = (&graph.succs[..n], &graph.preds[..n]);
 
         // Longest-path window tightening over the must-precede DAG.
         order.clear();
@@ -374,72 +526,72 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
                 }
             }
         }
-        for i in 0..n {
-            if lo[i] > hi[i] {
-                return WindowOutcome::Infeasible;
-            }
+        if lo.iter().zip(hi.iter()).any(|(l, h)| l > h) {
+            return WindowOutcome::Infeasible;
         }
 
-        // Transitive closure of this round's must-precede snapshot
-        // (reverse-topological bitset accumulation), for the fr rules.
-        // Row `i` of `reach` holds the ops strictly after `i` in every
-        // schedule. Successor rows are final by the time `i` is visited,
-        // so each row accumulates in place — no per-row temporary.
+        // Transitive closure of this round's must-precede snapshot and its
+        // transpose, for the fr rules. Row `i` of `reach` holds the ops
+        // strictly after `i` in every schedule, row `i` of `pred_reach`
+        // the ops strictly before it. Successor (predecessor) rows are
+        // final by the time `i` is visited in reverse (forward)
+        // topological order, so each row accumulates in place.
         if deep {
             reach.reset(n, n);
+            pred_reach.reset(n, n);
             for &i in order.iter().rev() {
                 for &s in &succs[i as usize] {
                     reach.set(i as usize, s as usize);
                     reach.union_row(i as usize, s as usize);
                 }
             }
+            for &i in order.iter() {
+                for &pr in &preds[i as usize] {
+                    pred_reach.set(i as usize, pr as usize);
+                    pred_reach.union_row(i as usize, pr as usize);
+                }
+            }
         }
 
         // Candidate filtering + forced serving edges + fr propagation.
-        for r in &mut reads {
+        for r in reads.iter_mut() {
             let rid = r.id as usize;
-            let before = r.cands.len();
             let prev = r.prev_write;
             // Writes that must precede this read (fr rules below).
             if deep {
-                writes_before.reset(n);
-                for &w in &write_ids {
-                    if reach.test(w as usize, rid) {
-                        writes_before.set(w as usize);
-                    }
-                }
+                writes_before.assign_and(pred_reach.row(rid), write_mask.words());
             }
-            r.cands.retain(|&w| {
+            let (start, before) = (r.start, r.len);
+            let mut kept = start;
+            for k in start..start + before {
+                let w = cand_pool[k];
                 let wid = w as usize;
                 // The serving write must be strictly before the read...
-                if lo[wid] >= hi[rid] {
-                    return false;
+                let alive = lo[wid] < hi[rid]
+                    // ...strictly after the last own-process write...
+                    && prev.is_none_or(|pw| w == pw || lo[pw as usize] < hi[wid])
+                    // ...and the *latest* write before the read: it is
+                    // dead when another write provably lands between the
+                    // two.
+                    && !(deep && reach.row_intersects(wid, writes_before.words()));
+                if alive {
+                    cand_pool[kept] = w;
+                    kept += 1;
                 }
-                // ...strictly after the last own-process write...
-                if let Some(pw) = prev {
-                    if w != pw && lo[pw as usize] >= hi[wid] {
-                        return false;
-                    }
-                }
-                // ...and the *latest* write before the read: it is dead
-                // when another write provably lands between the two.
-                if deep && reach.row_intersects(wid, writes_before.words()) {
-                    return false;
-                }
-                true
-            });
-            if r.cands.len() != before {
+            }
+            r.len = kept - start;
+            if r.len != before {
                 changed = true;
             }
-            if r.cands.is_empty() && !r.has_init {
+            if r.len == 0 && !r.has_init {
                 return WindowOutcome::Infeasible;
             }
-            if !r.has_init && r.cands.len() == 1 {
-                let w = r.cands[0];
-                changed |= add_edge(w, r.id, &mut succs, &mut preds, &mut edge_seen);
+            if !r.has_init && r.len == 1 {
+                let w = cand_pool[start];
+                changed |= graph.add(w, r.id);
                 if let Some(pw) = r.prev_write {
                     if pw != w {
-                        changed |= add_edge(pw, w, &mut succs, &mut preds, &mut edge_seen);
+                        changed |= graph.add(pw, w);
                     }
                 }
                 if deep {
@@ -447,25 +599,24 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
                     // `w` and the next write, so it precedes every write
                     // ordered after `w`, and every write ordered before
                     // the read precedes `w`.
-                    for &w2 in &write_ids {
-                        if w2 == w || w2 == r.id {
-                            continue;
+                    for w2 in bitset::ones_and(reach.row(w as usize), write_mask.words()) {
+                        if w2 != rid {
+                            changed |= graph.add(r.id, w2 as u32);
                         }
-                        if reach.test(w as usize, w2 as usize) {
-                            changed |= add_edge(r.id, w2, &mut succs, &mut preds, &mut edge_seen);
-                        }
-                        if writes_before.test(w2 as usize) {
-                            changed |= add_edge(w2, w, &mut succs, &mut preds, &mut edge_seen);
+                    }
+                    for w2 in bitset::ones(writes_before.words()) {
+                        if w2 != w as usize && w2 != rid {
+                            changed |= graph.add(w2 as u32, w);
                         }
                     }
                 }
             }
-            if deep && r.has_init && r.cands.is_empty() {
+            if deep && r.has_init && r.len == 0 {
                 // Must read the initial value, which no write re-produces
                 // (any such write would be a candidate): the read precedes
                 // every write (O(writes) fan-out per such read — deep rule).
-                for &w2 in &write_ids {
-                    changed |= add_edge(r.id, w2, &mut succs, &mut preds, &mut edge_seen);
+                for &w2 in write_ids.iter() {
+                    changed |= graph.add(r.id, w2);
                 }
             }
         }
@@ -481,70 +632,84 @@ fn analyze_with(ops: &AddrOps, scratch: &mut Scratch) -> WindowOutcome {
     // against the value it sees, so the order is itself the witness
     // schedule. Failure just falls through to DFS.
     if n > 0 && !skip_fixpoint {
+        let (succs, preds) = (&graph.succs[..n], &graph.preds[..n]);
         indeg.clear();
         indeg.extend(preds.iter().map(|p| p.len() as u32));
         // Released-but-unscheduled ops, bucketed by what can unblock them:
         // plain reads and RMWs wait for their read value to become
         // current; plain writes are always eligible.
-        type Bucket = FxHashMap<Value, BinaryHeap<Reverse<(u32, u32, u32)>>>;
-        fn pop_bucket(bucket: &mut Bucket, v: Value) -> Option<u32> {
-            let q = bucket.get_mut(&v)?;
-            let i = q.pop().map(|Reverse((_, _, i))| i);
-            if q.is_empty() {
-                bucket.remove(&v);
+        for buckets in [&mut *ready_reads, &mut *ready_rmws] {
+            if buckets.len() < nvals {
+                buckets.resize_with(nvals, BinaryHeap::new);
             }
-            i
+            buckets[..nvals].iter_mut().for_each(BinaryHeap::clear);
         }
-        let mut ready_reads: Bucket = FxHashMap::default();
-        let mut ready_rmws: Bucket = FxHashMap::default();
-        let mut ready_writes: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::new();
+        ready_writes.clear();
         let release = |i: u32,
-                       reads: &mut Bucket,
-                       rmws: &mut Bucket,
-                       writes: &mut BinaryHeap<Reverse<(u32, u32, u32)>>| {
-            let (_, _, _, op) = flat[i as usize];
-            let key = Reverse((lo[i as usize], hi[i as usize], i));
-            match op.read_value() {
-                Some(v) if op.written_value().is_some() => rmws.entry(v).or_default().push(key),
-                Some(v) => reads.entry(v).or_default().push(key),
-                None => writes.push(key),
+                       reads: &mut [BinaryHeap<ReadyKey>],
+                       rmws: &mut [BinaryHeap<ReadyKey>],
+                       writes: &mut BinaryHeap<ReadyKey>| {
+            let i_ = i as usize;
+            let key = Reverse((lo[i_], hi[i_], i));
+            match (read_vid[i_], write_vid[i_]) {
+                (NO_VAL, _) => writes.push(key),
+                (v, NO_VAL) => reads[v as usize].push(key),
+                (v, _) => rmws[v as usize].push(key),
             }
         };
         for i in 0..n as u32 {
             if indeg[i as usize] == 0 {
-                release(i, &mut ready_reads, &mut ready_rmws, &mut ready_writes);
+                release(i, ready_reads, ready_rmws, ready_writes);
             }
         }
-        let mut sched: Vec<u32> = Vec::with_capacity(n);
+        let pop = |buckets: &mut [BinaryHeap<ReadyKey>], v: u32| {
+            buckets
+                .get_mut(v as usize)?
+                .pop()
+                .map(|Reverse((_, _, i))| i)
+        };
+        sched.clear();
         let mut current = initial;
+        let mut current_vid = vid(initial);
         while sched.len() < n {
             // Absorb phase first, then the RMW consuming the current
             // value, then the lowest-window plain write.
-            let next = pop_bucket(&mut ready_reads, current)
-                .or_else(|| pop_bucket(&mut ready_rmws, current))
+            let next = pop(ready_reads, current_vid)
+                .or_else(|| pop(ready_rmws, current_vid))
                 .or_else(|| ready_writes.pop().map(|Reverse((_, _, i))| i));
             let Some(i) = next else {
                 break; // released ops all wait on a value nobody can produce now
             };
-            if let Some(v) = flat[i as usize].3.written_value() {
+            if let Some(v) = flat[i as usize].2.written_value() {
                 current = v;
+                current_vid = write_vid[i as usize];
             }
             sched.push(i);
             for &s in &succs[i as usize] {
                 indeg[s as usize] -= 1;
                 if indeg[s as usize] == 0 {
-                    release(s, &mut ready_reads, &mut ready_rmws, &mut ready_writes);
+                    release(s, ready_reads, ready_rmws, ready_writes);
                 }
             }
         }
         if sched.len() == n && ops.final_value().is_none_or(|f| f == current) {
-            return WindowOutcome::Schedule(
-                sched.into_iter().map(|i| flat[i as usize].2).collect(),
-            );
+            return WindowOutcome::Schedule(sched.iter().map(|&i| flat[i as usize].1).collect());
         }
     }
 
-    WindowOutcome::Table(WindowTable { offsets, lo, hi })
+    let offsets = per_proc
+        .iter()
+        .scan(0u32, |acc, h| {
+            let start = *acc;
+            *acc += h.len() as u32;
+            Some(start)
+        })
+        .collect();
+    WindowOutcome::Table(WindowTable {
+        offsets,
+        lo: lo.clone(),
+        hi: hi.clone(),
+    })
 }
 
 #[cfg(test)]
@@ -569,6 +734,26 @@ mod tests {
             }
             other => panic!("expected fast accept, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sparse_edge_set_empties_between_addresses() {
+        let n = MAX_DEEP_OPS + 10;
+        let last = n as u32 - 1;
+        let mut g = Graph::default();
+        g.reset(n);
+        assert!(g.add(0, last) && g.add(last, 1));
+        assert!(!g.add(0, last), "duplicate edge");
+        // Sparse to sparse, and sparse to dense and back: no edge of an
+        // earlier address survives into the next one.
+        g.reset(n);
+        assert_eq!(g.sparse.len(), 0);
+        assert!(g.add(0, last));
+        g.reset(4);
+        assert_eq!(g.sparse.len(), 0);
+        g.reset(n);
+        assert!(g.add(0, last) && g.add(last, 1));
+        assert_eq!(g.sparse.len(), 2);
     }
 
     #[test]

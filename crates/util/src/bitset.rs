@@ -6,9 +6,10 @@
 //! dozen 64-bit words per row — small enough that the whole round is
 //! memory-bandwidth-bound, so the representation matters more than the
 //! algorithm. [`BitSet`] is that representation: a flat `Vec<u64>` with
-//! the three kernels the closure loop needs — set/test, row-into-row
-//! union ([`BitSet::union_row`]), and any-intersection
-//! ([`any_intersect`]) — written so they compile to straight word loops.
+//! the kernels the closure loop needs — set/test, row-into-row union
+//! ([`BitSet::union_row`]), any-intersection ([`any_intersect`]), row
+//! masking ([`BitRow::assign_and`]) and set-bit walks ([`ones`],
+//! [`ones_and`]) — written so they compile to straight word loops.
 //!
 //! A [`BitSet`] is reusable scratch: [`BitSet::reset`] re-shapes it for a
 //! new `(rows, bits)` geometry, zeroing in place and allocating only when
@@ -109,6 +110,37 @@ pub fn any_intersect(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
+/// Indices of the set bits of `words`, ascending: a walk one word at a
+/// time, so sparse rows cost a few word ops rather than a test per bit.
+#[inline]
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &word)| word_ones(k, word))
+}
+
+/// Indices of the bits set in both `a` and `b`, ascending.
+#[inline]
+pub fn ones_and<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .flat_map(|(k, (x, y))| word_ones(k, x & y))
+}
+
+/// The set bits of `word`, the `k`-th word of a row, as row indices.
+#[inline]
+fn word_ones(k: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            k * 64 + bit
+        })
+    })
+}
+
 /// A single reusable bit row (helper for scratch vectors that are not part
 /// of a matrix): clear + set/test over a `Vec<u64>`.
 #[derive(Clone, Debug, Default)]
@@ -144,6 +176,14 @@ impl BitRow {
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Overwrite with `a & b` (equal-length word slices), reusing the
+    /// allocation.
+    #[inline]
+    pub fn assign_and(&mut self, a: &[u64], b: &[u64]) {
+        self.words.clear();
+        self.words.extend(a.iter().zip(b).map(|(x, y)| x & y));
     }
 }
 
@@ -207,6 +247,20 @@ mod tests {
         assert!(any_intersect(&[0b1010], &[0b0010]));
         assert!(!any_intersect(&[0b1010], &[0b0101]));
         assert!(!any_intersect(&[], &[]));
+    }
+
+    #[test]
+    fn ones_walk_set_bits_in_order() {
+        let a = [0b1011u64, 1 << 63, u64::MAX];
+        let b = [0b0011u64, 1 << 63, 0];
+        let got: Vec<usize> = ones_and(&a, &b).collect();
+        assert_eq!(got, vec![0, 1, 127]);
+        assert_eq!(ones_and(&[], &[]).count(), 0);
+        assert_eq!(ones(&a).count(), 3 + 1 + 64);
+        assert_eq!(ones(&a).last(), Some(191));
+        let mut row = BitRow::new();
+        row.assign_and(&a, &b);
+        assert_eq!(row.words(), &[0b0011, 1 << 63, 0]);
     }
 
     #[test]

@@ -83,19 +83,25 @@ if [[ -n "$bad" ]]; then
 fi
 echo "    ok"
 
-echo "==> stream hot path: no std HashMap outside the legacy ablation module"
+echo "==> hot paths: no std/Fx HashMap or HashSet in the stream engine or the closure fixpoint"
 # The PR-9 contract: the ingest hot path (stream engine, dense tables,
 # batch decoder) runs on index-addressed dense structures only. Hashed
 # containers may appear solely in crates/coherence/src/stream/legacy.rs,
-# the preserved pre-dense baseline behind `--hot-path legacy`. Doc
-# comments may *name* HashMap (they describe the ablation); code may not.
-hash_sites=$(grep -n 'HashMap' \
+# the preserved pre-dense baseline behind `--hot-path legacy`. The
+# closure fixpoint (windows.rs) holds to the same rule: dense value ids,
+# CSR writers and a bit-matrix edge set instead of per-address hash maps
+# and sets. The gate bans the std and Fx `HashMap`/`HashSet` types, not
+# hashing as such: the fixpoint's sparse edge set above the deep-rule cap
+# is a `DenseMap`, the open-addressed integer table from util::densemap.
+# Doc comments may *name* HashMap/HashSet; code may not.
+hash_sites=$(grep -nE 'Hash(Map|Set)' \
     crates/coherence/src/stream/mod.rs \
     crates/coherence/src/stream/tables.rs \
     crates/trace/src/binary.rs \
+    crates/coherence/src/windows.rs \
     | grep -vE ':[0-9]+:[[:space:]]*//' || true)
 if [[ -n "$hash_sites" ]]; then
-    echo "std HashMap on the stream hot path (only legacy.rs may hash):" >&2
+    echo "HashMap/HashSet on a hot path (only stream/legacy.rs may use them):" >&2
     echo "$hash_sites" >&2
     exit 1
 fi
@@ -348,16 +354,23 @@ if committed.get("schema") == "vermem-bench-vmc/v9":
     headline = comm_hot[(4, "dense")]["speedup_vs_legacy"]
     assert headline >= 1.5, \
         f"committed 4-stream dense speedup regressed to {headline:.2f}x"
-    # Throughput non-regression: E-HOTPATH measures the identical
-    # workload under VERMEM_BENCH_FAST (only `reps` differs), so the
-    # fresh dense rows must hold the committed throughput minus 10%
-    # timing slack.
+    # Dense-ingest non-regression, host-relative: E-HOTPATH measures the
+    # identical workload in fast and full mode, and its speedup column is
+    # the median over 21 interleaved dense/legacy pairs of legacy/dense
+    # time, so host speed cancels out (an absolute ops/s floor failed on
+    # slower shared hosts with no code change). Each stream count must
+    # keep its fresh speedup >= 90% of the committed one — the per-row
+    # 10% slack of the absolute floor this replaces. Noise measured on a
+    # shared 2-vCPU x86-64 guest, 50 fast-mode runs of this timing: the
+    # lowest fresh/committed ratio was 0.947 at 1 stream, 1.030 at 4 and
+    # 0.979 at 16 (medians 1.012, 1.117, 1.040; the committed rows were
+    # timed before the pairing, as medians of seven sequential reps).
     for s in (1, 4, 16):
-        fresh_ops = fresh_hot[(s, "dense")]["sustained_ops_per_sec"]
-        comm_ops = comm_hot[(s, "dense")]["sustained_ops_per_sec"]
-        assert fresh_ops >= comm_ops * 0.9, \
-            (f"dense ingest throughput regressed at {s} streams: "
-             f"{fresh_ops:.0f} < 90% of committed {comm_ops:.0f} ops/s")
+        rel = fresh_hot[(s, "dense")]["speedup_vs_legacy"] / \
+            comm_hot[(s, "dense")]["speedup_vs_legacy"]
+        assert rel >= 0.90, \
+            (f"dense ingest speedup over legacy regressed at {s} streams: "
+             f"fresh/committed {rel:.3f} < 0.90")
     comm_by_case = {}
     for row in committed["prune_ablation"]:
         comm_by_case.setdefault(row["case"], {})[row["config"]] = row
