@@ -41,15 +41,6 @@ fn configs() -> Vec<(&'static str, SearchConfig)> {
                 ..base
             },
         ),
-        // Memo-key ablation: SipHash'd Vec<u32> keys instead of the packed
-        // u64 / interned FxHash representation. Same states, slower table.
-        (
-            "legacy-memo-keys",
-            SearchConfig {
-                legacy_memo_keys: true,
-                ..base
-            },
-        ),
     ]
 }
 

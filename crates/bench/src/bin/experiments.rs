@@ -9,9 +9,9 @@
 //! cargo run --release -p vermem-bench --bin experiments -- --json # BENCH_vmc.json
 //! ```
 //!
-//! `--json` runs the E-PAR thread ladder, the memo-key ablation, the
-//! E-KERNEL operational-machine ablation (SC/TSO/PSO on the shared
-//! exact-search kernel, packed/interned vs legacy memo keys), the E-TIER
+//! `--json` runs the E-PAR thread ladder, the E-PRUNE inference-layer
+//! ablation, the E-KERNEL operational machines (SC/TSO/PSO on the shared
+//! exact-search kernel, with their key allocations), the E-TIER
 //! tiered-verification ablation (closure frontline vs exact-only, per
 //! trace family), the E-AXIOM declared-model ablation (every `ModelSpec`
 //! model through the operational compiler, the SAT compiler, and — for the
@@ -31,7 +31,7 @@
 //! loadable in Perfetto / `chrome://tracing`.
 
 use std::time::Instant;
-use vermem_bench::{loglog_slope, mean_growth_ratio, median_secs, median_secs_ab};
+use vermem_bench::{loglog_slope, mean_growth_ratio, median_secs};
 use vermem_coherence::{
     one_op, readmap, rmw, solve_backtracking, solve_backtracking_with_stats,
     solve_with_write_order, verify_execution_par, PruneConfig, SearchConfig, TierConfig, TierStats,
@@ -156,10 +156,6 @@ fn main() {
     if filter == "estream" {
         // Included in `epar`'s receipt run; also runnable standalone.
         e_stream();
-    }
-    if filter == "ehotpath" {
-        // Included in `epar`'s receipt run; also runnable standalone.
-        e_hotpath();
     }
 
     if obs_on {
@@ -735,8 +731,8 @@ fn e_online_checker() {
 }
 
 // ---------------------------------------------------------------------------
-// E-PAR: the parallel per-address engine (thread ladder) and the memo-key
-// ablation, with optional machine-readable receipts (BENCH_vmc.json).
+// E-PAR: the parallel per-address engine (thread ladder), with optional
+// machine-readable receipts (BENCH_vmc.json).
 // ---------------------------------------------------------------------------
 struct ParPoint {
     jobs: usize,
@@ -750,16 +746,6 @@ struct ParCase {
     ops: usize,
     addrs: usize,
     points: Vec<ParPoint>,
-}
-
-struct MemoRow {
-    case: String,
-    config: &'static str,
-    secs: f64,
-    states: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-    verdict: &'static str,
 }
 
 /// One row of the E-PRUNE inference-layer ablation: a blow-up instance
@@ -778,14 +764,12 @@ struct PruneRow {
     verdict: &'static str,
 }
 
-/// One row of the E-KERNEL ablation: an operational consistency machine
-/// (SC / TSO / PSO) on the shared exact-search kernel, timed under the
-/// packed/interned memo keys and under the legacy alloc-per-probe
-/// representation, with the key-allocation count recorded for each.
+/// One row of E-KERNEL: an operational consistency machine (SC / TSO /
+/// PSO) on the shared exact-search kernel, timed, with its key-allocation
+/// count recorded.
 struct ModelKernelRow {
     model: &'static str,
     case: String,
-    config: &'static str,
     secs: f64,
     states: u64,
     memo_misses: u64,
@@ -821,7 +805,7 @@ struct TierRow {
 }
 
 fn e_par_scaling(write_json: bool) {
-    header("E-PAR  parallel per-address verification: thread ladder + memo ablation");
+    header("E-PAR  parallel per-address verification: thread ladder + search receipts");
     let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
     let reps = if fast { 3 } else { 7 };
     let host = vermem_util::pool::available_jobs();
@@ -887,31 +871,12 @@ fn e_par_scaling(write_json: bool) {
         }
     }
 
-    let memo = memo_ablation(reps, fast);
-    println!("\nmemo-key ablation (single thread, E-5.1/E-5.2 reduction instances):");
-    println!(
-        "{:>14} {:>18} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "case", "config", "median (ms)", "states", "hits", "misses", "verdict"
-    );
-    for r in &memo {
-        println!(
-            "{:>14} {:>18} {:>12.3} {:>10} {:>10} {:>10} {:>10}",
-            r.case,
-            r.config,
-            r.secs * 1e3,
-            r.states,
-            r.memo_hits,
-            r.memo_misses,
-            r.verdict
-        );
-    }
-
     let prune = prune_ablation(reps, fast);
     println!("\nE-PRUNE inference-layer ablation (single thread, same instances):");
     print_prune_table(&prune);
 
-    let model_kernel = model_kernel_ablation(reps, fast);
-    println!("\nE-KERNEL operational machines on the shared kernel (memo-key ablation):");
+    let model_kernel = model_kernel_bench(reps, fast);
+    println!("\nE-KERNEL operational machines on the shared kernel:");
     print_model_kernel_table(&model_kernel);
 
     let tier = tier_ablation(reps, fast);
@@ -925,10 +890,6 @@ fn e_par_scaling(write_json: bool) {
     let (estream, bounded) = estream_bench(reps, fast);
     println!("\nE-STREAM sharded bounded-memory streaming engine:");
     print_estream_table(&estream, &bounded);
-
-    let hotpath = hotpath_ablation();
-    println!("\nE-HOTPATH dense-slab ingest structures vs the std-HashMap baseline:");
-    print_hotpath_table(&hotpath);
 
     let obs = obs_overhead_probe(reps, fast);
     println!(
@@ -958,14 +919,12 @@ fn e_par_scaling(write_json: bool) {
             bench_json(
                 host,
                 &cases,
-                &memo,
                 &prune,
                 &model_kernel,
                 &tier,
                 &axiom,
                 &ra_probe,
                 &estream,
-                &hotpath,
                 &bounded,
                 &obs,
                 &live_obs,
@@ -977,12 +936,11 @@ fn e_par_scaling(write_json: bool) {
 }
 
 /// E-KERNEL: the VSC / TSO / PSO operational machines all run on the shared
-/// exact-search kernel; this ablation times each against the legacy
-/// SipHash'd `Vec<u64>` memo keys on contended generated workloads. Both
-/// key representations memoize the same state set, so states (and verdicts)
-/// must be identical per (model, case); the kernel path must never allocate
-/// *more* key storage than the legacy alloc-per-probe path.
-fn model_kernel_ablation(reps: usize, fast: bool) -> Vec<ModelKernelRow> {
+/// exact-search kernel; this times each on contended generated workloads and
+/// records its key allocations. Memoization is integral to the kernel, so
+/// every state is a memo miss; no probe allocates, so a search allocates at
+/// most one key per state, and none when every key fits two words.
+fn model_kernel_bench(reps: usize, fast: bool) -> Vec<ModelKernelRow> {
     let ops = if fast { 16 } else { 48 };
     let instances: [(String, Trace); 2] = [
         (
@@ -1014,68 +972,51 @@ fn model_kernel_ablation(reps: usize, fast: bool) -> Vec<ModelKernelRow> {
             .0,
         ),
     ];
-    let configs: [(&'static str, KernelConfig); 2] = [
-        ("kernel", KernelConfig::default()),
-        (
-            "legacy-keys",
-            KernelConfig {
-                legacy_keys: true,
-                ..Default::default()
-            },
-        ),
-    ];
+    let cfg = KernelConfig::default();
     let models: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
     let mut rows = Vec::new();
     for (case, trace) in &instances {
         for model in models {
-            let mut per_config: Vec<(u64, u64)> = Vec::new(); // (states, key_allocs)
-            for (name, cfg) in &configs {
-                // One instrumented run for stats + the key-alloc counter
-                // (delta of the global obs counter around the run).
-                let was = vermem_util::obs::enabled();
-                vermem_util::obs::set_enabled(true);
-                let allocs_before = key_alloc_counter();
-                let (verdict, stats) = verify_model_operational(trace, model, cfg);
-                let key_allocs = key_alloc_counter() - allocs_before;
-                vermem_util::obs::set_enabled(was);
-                if !was {
-                    vermem_util::obs::reset();
-                }
-                let verdict_str = if verdict.is_consistent() {
-                    "consistent"
-                } else if verdict.is_violating() {
-                    "violating"
-                } else {
-                    "unknown"
-                };
-                per_config.push((stats.states, key_allocs));
-                let secs = median_secs(reps, || {
-                    let _ = verify_model_operational(trace, model, cfg);
-                })
-                .max(1e-12);
-                rows.push(ModelKernelRow {
-                    model: model.name(),
-                    case: case.clone(),
-                    config: name,
-                    secs,
-                    states: stats.states,
-                    memo_misses: stats.memo_misses,
-                    key_allocs,
-                    verdict: verdict_str,
-                });
+            // One instrumented run for stats + the key-alloc counter
+            // (delta of the global obs counter around the run).
+            let was = vermem_util::obs::enabled();
+            vermem_util::obs::set_enabled(true);
+            let allocs_before = key_alloc_counter();
+            let (verdict, stats) = verify_model_operational(trace, model, &cfg);
+            let key_allocs = key_alloc_counter() - allocs_before;
+            vermem_util::obs::set_enabled(was);
+            if !was {
+                vermem_util::obs::reset();
             }
-            let [(kernel_states, kernel_allocs), (legacy_states, legacy_allocs)] = per_config[..]
-            else {
-                unreachable!("two configs per (model, case)");
+            let verdict_str = if verdict.is_consistent() {
+                "consistent"
+            } else if verdict.is_violating() {
+                "violating"
+            } else {
+                "unknown"
             };
             assert_eq!(
-                kernel_states, legacy_states,
-                "{case}/{model}: memo representations must visit identical state sets"
+                stats.memo_misses, stats.states,
+                "{case}/{model}: every kernel state is a memo miss"
             );
             assert!(
-                kernel_allocs <= legacy_allocs,
-                "{case}/{model}: kernel keys allocated more than legacy ({kernel_allocs} > {legacy_allocs})"
+                key_allocs <= stats.states,
+                "{case}/{model}: more key allocations than states ({key_allocs} > {})",
+                stats.states
             );
+            let secs = median_secs(reps, || {
+                let _ = verify_model_operational(trace, model, &cfg);
+            })
+            .max(1e-12);
+            rows.push(ModelKernelRow {
+                model: model.name(),
+                case: case.clone(),
+                secs,
+                states: stats.states,
+                memo_misses: stats.memo_misses,
+                key_allocs,
+                verdict: verdict_str,
+            });
         }
     }
     rows
@@ -1093,15 +1034,14 @@ fn key_alloc_counter() -> u64 {
 
 fn print_model_kernel_table(rows: &[ModelKernelRow]) {
     println!(
-        "{:>22} {:>6} {:>12} {:>12} {:>9} {:>9} {:>10} {:>11}",
-        "case", "model", "config", "median (ms)", "states", "misses", "key allocs", "verdict"
+        "{:>22} {:>6} {:>12} {:>9} {:>9} {:>10} {:>11}",
+        "case", "model", "median (ms)", "states", "misses", "key allocs", "verdict"
     );
     for r in rows {
         println!(
-            "{:>22} {:>6} {:>12} {:>12.3} {:>9} {:>9} {:>10} {:>11}",
+            "{:>22} {:>6} {:>12.3} {:>9} {:>9} {:>10} {:>11}",
             r.case,
             r.model,
-            r.config,
             r.secs * 1e3,
             r.states,
             r.memo_misses,
@@ -1111,13 +1051,13 @@ fn print_model_kernel_table(rows: &[ModelKernelRow]) {
     }
 }
 
-/// Console-only entry for the E-KERNEL ablation (`experiments ekernel`);
-/// the `--json` receipt run includes the same rows in BENCH_vmc.json.
+/// Console-only entry for E-KERNEL (`experiments ekernel`); the `--json`
+/// receipt run includes the same rows in BENCH_vmc.json.
 fn e_kernel() {
-    header("E-KERNEL  one exact-search kernel: SC/TSO/PSO memo-key ablation");
+    header("E-KERNEL  one exact-search kernel: SC/TSO/PSO");
     let fast = std::env::var("VERMEM_BENCH_FAST").is_ok();
     let reps = if fast { 3 } else { 7 };
-    let rows = model_kernel_ablation(reps, fast);
+    let rows = model_kernel_bench(reps, fast);
     print_model_kernel_table(&rows);
 }
 
@@ -1582,24 +1522,6 @@ struct EstreamRow {
     verdict_parity: bool,
 }
 
-/// One row of the E-HOTPATH ablation: the E-STREAM workload ingested with
-/// the dense-slab hot-path structures vs the pre-dense std-`HashMap`
-/// baseline (`HotPathConfig::legacy_structures`). The two strategies are
-/// bit-identical in every report field (asserted in-harness at jobs 1, 2
-/// and 8); only the wall time differs.
-struct HotpathRow {
-    streams: usize,
-    config: &'static str,
-    jobs: usize,
-    events: u64,
-    median_secs: f64,
-    sustained_ops_per_sec: f64,
-    /// Legacy wall time over this configuration's wall time (1.0 on the
-    /// legacy rows by definition).
-    speedup_vs_legacy: f64,
-    verdict_parity: bool,
-}
-
 /// The bounded-memory demonstration: a periodic synthetic event stream at
 /// R rounds and 10R rounds retains an **identical** peak number of
 /// windows — memory is O(window × addresses), independent of length.
@@ -1691,7 +1613,6 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
         temporal: true,
         verifier: VmcVerifier::new(),
         recorder: None,
-        hot_path: Default::default(),
     };
     let mut rows = Vec::new();
     for streams in [1usize, 4, 16] {
@@ -1766,7 +1687,6 @@ fn estream_bench(reps: usize, fast: bool) -> (Vec<EstreamRow>, BoundedMemoryProb
                 temporal: true,
                 verifier: VmcVerifier::new(),
                 recorder,
-                hot_path: Default::default(),
             },
         )
         .expect("stream decodes");
@@ -1855,143 +1775,6 @@ fn e_stream() {
     print_estream_table(&rows, &probe);
 }
 
-/// E-HOTPATH: the dense-slab storage ablation. The E-STREAM workload at
-/// 1/4/16 concurrent streams is ingested twice on the same binary — once
-/// with the dense index-addressed tables (the default), once with the
-/// pre-dense std-`HashMap` structures re-homed behind
-/// `HotPathConfig::legacy_structures` — after a parity pass asserting the
-/// two strategies produce bit-identical reports at jobs 1, 2 and 8.
-fn hotpath_ablation() -> Vec<HotpathRow> {
-    const WINDOW: usize = 256;
-    // Dense/legacy pairs per stream count; the speedup column is the
-    // median over these pairs of legacy/dense time. With fewer pairs a few
-    // scheduler hiccups could swing the ratio that verify.sh gates.
-    const REPS: usize = 21;
-    // Every timed rep ingests `SAMPLE_STREAMS` streams' worth of events:
-    // the stream set is passed over `SAMPLE_STREAMS / streams` times, so
-    // the 1-stream rep is as long as the 16-stream one and one hiccup
-    // moves its median as little.
-    const SAMPLE_STREAMS: usize = 16;
-    // Longer streams than E-STREAM: this ablation measures the *ingest*
-    // structures, so the workload must be ingest-dominated (the finish
-    // phase solves identical instances on both paths). Neither the size
-    // nor `REPS` is reduced under VERMEM_BENCH_FAST — verify.sh gates the
-    // fast fresh rows' speedup against the committed full-mode receipt,
-    // so the two must measure the same workload the same way.
-    let instrs = 1_500;
-    let config = |legacy: bool, jobs: usize| vermem_coherence::StreamConfig {
-        window: Some(WINDOW),
-        jobs,
-        temporal: true,
-        verifier: VmcVerifier::new(),
-        recorder: None,
-        hot_path: vermem_coherence::HotPathConfig {
-            legacy_structures: legacy,
-        },
-    };
-    let mut rows = Vec::new();
-    for streams in [1usize, 4, 16] {
-        let caps = estream_captures(streams, instrs);
-        let byte_streams: Vec<Vec<u8>> = caps
-            .iter()
-            .map(|c| vermem_sim::event_stream_bytes(c).expect("SC capture streams"))
-            .collect();
-        // Parity pass: the storage strategy must be unobservable in every
-        // report field, at every jobs rung.
-        let mut events = 0u64;
-        for bytes in &byte_streams {
-            for jobs in [1usize, 2, 8] {
-                let d = vermem_coherence::verify_stream_bytes(bytes, config(false, jobs))
-                    .expect("dense decodes");
-                let l = vermem_coherence::verify_stream_bytes(bytes, config(true, jobs))
-                    .expect("legacy decodes");
-                assert_eq!(
-                    d.verdict, l.verdict,
-                    "E-HOTPATH: verdict drift at {jobs} jobs"
-                );
-                assert_eq!(d.stats, l.stats, "E-HOTPATH: stats drift at {jobs} jobs");
-                assert_eq!(d.tiers, l.tiers, "E-HOTPATH: tier drift at {jobs} jobs");
-                assert_eq!(
-                    d.detections, l.detections,
-                    "E-HOTPATH: detection drift at {jobs} jobs"
-                );
-                assert_eq!(
-                    d.metrics, l.metrics,
-                    "E-HOTPATH: metric drift at {jobs} jobs"
-                );
-                if jobs == 1 {
-                    events += d.events;
-                }
-            }
-        }
-        let passes = SAMPLE_STREAMS / streams;
-        let sample = |legacy: bool| {
-            for _ in 0..passes {
-                for bytes in &byte_streams {
-                    let report = vermem_coherence::verify_stream_bytes(bytes, config(legacy, 1))
-                        .expect("stream decodes");
-                    assert!(report.events > 0);
-                }
-            }
-        };
-        // Interleaved dense/legacy reps: the speedup column is a ratio of
-        // two arms, so drift between them must not land on one arm only.
-        let (dense_secs, legacy_secs, speedup) =
-            median_secs_ab(REPS, || sample(false), || sample(true));
-        let per_pass = |secs: f64| (secs / passes as f64).max(1e-12);
-        let (dense_secs, legacy_secs) = (per_pass(dense_secs), per_pass(legacy_secs));
-        rows.push(HotpathRow {
-            streams,
-            config: "dense",
-            jobs: 1,
-            events,
-            median_secs: dense_secs,
-            sustained_ops_per_sec: events as f64 / dense_secs,
-            speedup_vs_legacy: speedup,
-            verdict_parity: true,
-        });
-        rows.push(HotpathRow {
-            streams,
-            config: "legacy",
-            jobs: 1,
-            events,
-            median_secs: legacy_secs,
-            sustained_ops_per_sec: events as f64 / legacy_secs,
-            speedup_vs_legacy: 1.0,
-            verdict_parity: true,
-        });
-    }
-    rows
-}
-
-fn print_hotpath_table(rows: &[HotpathRow]) {
-    println!(
-        "{:>8} {:>8} {:>5} {:>8} {:>12} {:>12} {:>9} {:>7}",
-        "streams", "config", "jobs", "events", "median (ms)", "ops/s", "speedup", "parity"
-    );
-    for r in rows {
-        println!(
-            "{:>8} {:>8} {:>5} {:>8} {:>12.3} {:>12.0} {:>8.2}x {:>7}",
-            r.streams,
-            r.config,
-            r.jobs,
-            r.events,
-            r.median_secs * 1e3,
-            r.sustained_ops_per_sec,
-            r.speedup_vs_legacy,
-            r.verdict_parity
-        );
-    }
-}
-
-/// Console-only entry for the E-HOTPATH ablation (`experiments ehotpath`);
-/// the `--json` receipt run includes the same rows in BENCH_vmc.json.
-fn e_hotpath() {
-    header("E-HOTPATH  dense-slab ingest structures vs the std-HashMap baseline");
-    let rows = hotpath_ablation();
-    print_hotpath_table(&rows);
-}
-
 /// Measure the exact search on the E-5.2 over-constrained instance with the
 /// observability layer off and on. The off run is the production default;
 /// the delta is what `--metrics`/`--trace-out` cost. Restores the previous
@@ -2063,7 +1846,6 @@ fn live_obs_probe(reps: usize, fast: bool) -> LiveObsProbe {
         temporal: true,
         verifier: VmcVerifier::new(),
         recorder,
-        hot_path: Default::default(),
     };
     let recorder = || Some(vermem_coherence::RecorderConfig::default());
 
@@ -2142,92 +1924,9 @@ fn par_case(name: String, trace: &Trace, verifier: &VmcVerifier, reps: usize) ->
     }
 }
 
-/// Time the exact search with the overhauled memo keys (packed/interned
-/// FxHash) against the legacy SipHash'd `Vec<u32>` representation on the
-/// E-5.1/E-5.2 blow-up instances (forced-SAT at the wall and the
-/// over-constrained family), state-capped so the run is bounded: every
-/// visited state is a memo probe, so the table cost dominates. Both
-/// representations memoize the same state set, so the state counts (and
-/// verdicts) must agree; only the wall time differs.
-fn memo_ablation(reps: usize, fast: bool) -> Vec<MemoRow> {
-    let cap: u64 = if fast { 50_000 } else { 500_000 };
-    // Pruning off: this ablation isolates the memo *representation* cost on
-    // the full capped state set (the PR-4 inference layer would collapse
-    // the workload — its effect is measured separately by `prune_ablation`).
-    let configs: [(&'static str, SearchConfig); 2] = [
-        (
-            "fx-overhaul",
-            SearchConfig {
-                max_states: Some(cap),
-                prune: PruneConfig::none(),
-                ..Default::default()
-            },
-        ),
-        (
-            "legacy-memo-keys",
-            SearchConfig {
-                max_states: Some(cap),
-                legacy_memo_keys: true,
-                prune: PruneConfig::none(),
-                ..Default::default()
-            },
-        ),
-    ];
-    // E-5.1/E-5.2 cases at and past the exponential wall (see e5.1/e5.2):
-    // the forced-SAT family at m = 6 and the over-constrained family both
-    // exceed any practical cap, so the search does exactly `cap` states.
-    let wall = vermem_sat::random::gen_forced_sat(&RandomSatConfig::three_sat(6, 1.0, 31 * 6));
-    let overcons = gen_random_ksat(&RandomSatConfig::three_sat(3, 5.0, 93));
-    let instances: [(String, Trace); 3] = [
-        (
-            "e5.1-m6-wall".to_string(),
-            reduce_3sat_restricted(&wall).trace,
-        ),
-        (
-            "e5.1-overcons".to_string(),
-            reduce_3sat_restricted(&overcons).trace,
-        ),
-        (
-            "e5.2-overcons".to_string(),
-            reduce_3sat_rmw(&overcons).trace,
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (case, trace) in &instances {
-        let mut state_counts = Vec::new();
-        for (name, cfg) in &configs {
-            let (verdict, stats) = solve_backtracking_with_stats(trace, Addr::ZERO, cfg);
-            let verdict_str = match verdict {
-                vermem_coherence::Verdict::Coherent(_) => "coherent",
-                vermem_coherence::Verdict::Incoherent(_) => "incoherent",
-                vermem_coherence::Verdict::Unknown => "capped",
-            };
-            state_counts.push(stats.states);
-            let secs = median_secs(reps, || {
-                let _ = solve_backtracking(trace, Addr::ZERO, cfg);
-            })
-            .max(1e-12);
-            rows.push(MemoRow {
-                case: case.clone(),
-                config: name,
-                secs,
-                states: stats.states,
-                memo_hits: stats.memo_hits,
-                memo_misses: stats.memo_misses,
-                verdict: verdict_str,
-            });
-        }
-        assert!(
-            state_counts.windows(2).all(|w| w[0] == w[1]),
-            "memo representations must visit identical state sets ({case})"
-        );
-    }
-    rows
-}
-
 /// E-PRUNE: the PR-4 inference-layer ablation on the E-5.1/E-5.2 blow-up
 /// instances. Each technique runs alone and all together, against the
-/// unpruned baseline, under the same state cap as `memo_ablation`. All
+/// unpruned baseline, under one state cap. All
 /// configurations must agree on the verdict (they provably do — the
 /// assertion enforces it), and every pruned configuration must explore at
 /// most the baseline's states (monotonicity).
@@ -2374,21 +2073,19 @@ fn e_prune() {
 fn bench_json(
     host: usize,
     cases: &[ParCase],
-    memo: &[MemoRow],
     prune: &[PruneRow],
     model_kernel: &[ModelKernelRow],
     tier: &[TierRow],
     axiom: &[AxiomRow],
     ra_probe: &RaFrontlineProbe,
     estream: &[EstreamRow],
-    hotpath: &[HotpathRow],
     bounded: &BoundedMemoryProbe,
     obs: &ObsOverhead,
     live_obs: &LiveObsProbe,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"vermem-bench-vmc/v9\",\n");
+    s.push_str("  \"schema\": \"vermem-bench-vmc/v10\",\n");
     s.push_str(&format!("  \"host_parallelism\": {host},\n"));
     s.push_str("  \"par_verify\": [\n");
     for (i, c) in cases.iter().enumerate() {
@@ -2418,16 +2115,6 @@ fn bench_json(
         s.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    s.push_str("  \"memo_ablation\": [\n");
-    for (i, r) in memo.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"config\": \"{}\", \"median_secs\": {:.9}, \
-             \"states\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \"verdict\": \"{}\"}}",
-            r.case, r.config, r.secs, r.states, r.memo_hits, r.memo_misses, r.verdict
-        ));
-        s.push_str(if i + 1 < memo.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"prune_ablation\": [\n");
     for (i, r) in prune.iter().enumerate() {
         s.push_str(&format!(
@@ -2453,10 +2140,10 @@ fn bench_json(
     s.push_str("  \"model_kernel\": [\n");
     for (i, r) in model_kernel.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"case\": \"{}\", \"config\": \"{}\", \
+            "    {{\"model\": \"{}\", \"case\": \"{}\", \
              \"median_secs\": {:.9}, \"states\": {}, \"memo_misses\": {}, \
              \"key_allocs\": {}, \"verdict\": \"{}\"}}",
-            r.model, r.case, r.config, r.secs, r.states, r.memo_misses, r.key_allocs, r.verdict
+            r.model, r.case, r.secs, r.states, r.memo_misses, r.key_allocs, r.verdict
         ));
         s.push_str(if i + 1 < model_kernel.len() {
             ",\n"
@@ -2532,25 +2219,6 @@ fn bench_json(
             r.verdict_parity
         ));
         s.push_str(if i + 1 < estream.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"e_hotpath\": [\n");
-    for (i, r) in hotpath.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"streams\": {}, \"config\": \"{}\", \"jobs\": {}, \
-             \"events\": {}, \"median_secs\": {:.9}, \
-             \"sustained_ops_per_sec\": {:.1}, \"speedup_vs_legacy\": {:.4}, \
-             \"verdict_parity\": {}}}",
-            r.streams,
-            r.config,
-            r.jobs,
-            r.events,
-            r.median_secs,
-            r.sustained_ops_per_sec,
-            r.speedup_vs_legacy,
-            r.verdict_parity
-        ));
-        s.push_str(if i + 1 < hotpath.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
     s.push_str(&format!(

@@ -844,23 +844,11 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         "forensics",
         "metrics",
         "trace-out",
-        "hot-path",
     ])?;
     let session = ObsSession::start(args)?;
     let window = parse_window(args)?;
     let jobs = args.num::<usize>("jobs", 0)?; // 0 = available_parallelism
     let chunk = args.num("chunk", 64 * 1024usize)?.max(1);
-    let hot_path = match args.flag("hot-path").unwrap_or("dense") {
-        "dense" => vermem_coherence::HotPathConfig::default(),
-        "legacy" => vermem_coherence::HotPathConfig {
-            legacy_structures: true,
-        },
-        other => {
-            return Err(err(format!(
-                "invalid --hot-path value '{other}' (expected dense|legacy)"
-            )))
-        }
-    };
     let obs_addr = args.flag("obs-addr").map(str::to_string);
     let forensics_dir = args.flag("forensics").map(std::path::PathBuf::from);
     // The flight recorder rides with --forensics; --obs-addr alone keeps
@@ -956,7 +944,6 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             temporal,
             verifier: VmcVerifier::new(),
             recorder,
-            hot_path,
         });
         for piece in bytes.chunks(chunk) {
             let c0 = if live { obs::now_us() } else { 0 };
@@ -1912,38 +1899,11 @@ mod tests {
 
     #[test]
     fn serve_hot_path_flag_is_checked() {
-        // `--hot-path` itself parses (both spellings of the ablation) ...
-        let out = run_ok(
-            &[
-                "serve",
-                "--streams",
-                "1",
-                "--instrs",
-                "20",
-                "--hot-path",
-                "legacy",
-            ],
-            "",
-        );
-        assert!(out.contains("stream"), "{out}");
-        // ... bad values are rejected ...
-        let e = run(&["serve".into(), "--hot-path".into(), "bogus".into()], "")
-            .expect_err("--hot-path bogus must fail");
-        assert!(e.0.contains("invalid --hot-path"), "{}", e.0);
-        // ... and an unknown flag alongside it still fails the flag check
-        // instead of slipping through.
-        let e = run(
-            &[
-                "serve".into(),
-                "--hot-path".into(),
-                "dense".into(),
-                "--hotpath".into(),
-                "dense".into(),
-            ],
-            "",
-        )
-        .expect_err("--hotpath (typo) must fail");
-        assert!(e.0.contains("unknown flag --hotpath"), "{}", e.0);
+        // The storage switch is gone: `--hot-path` is an unknown flag like
+        // any other, whatever its value.
+        let e = run(&["serve".into(), "--hot-path".into(), "dense".into()], "")
+            .expect_err("--hot-path dense must fail");
+        assert!(e.0.contains("unknown flag --hot-path"), "{}", e.0);
     }
 
     #[test]

@@ -47,9 +47,8 @@
 //! verified through the same tiered pipeline and discarded. Detections
 //! surface while the stream is still running (the p99 detection latency is
 //! a first-class receipt), verdicts are bit-identical to a batch run over
-//! the same events, and the ingest hot path runs on allocation-free
-//! dense-slab tables (the pre-dense `HashMap` baseline survives behind
-//! [`HotPathConfig`] as the `--hot-path legacy` ablation). An optional
+//! the same events, and the ingest hot path runs on dense-slab tables
+//! with no per-event allocation once they reach their working set. An optional
 //! flight recorder ([`RecorderConfig`]) keeps a per-shard ring of recent
 //! windows and emits [`ForensicBundle`] JSONL on each detection.
 //!
@@ -114,8 +113,8 @@ pub use online::{OnlineCause, OnlineVerifier, OnlineViolation};
 pub use par::{verify_execution_par, ExecutionReport};
 pub use sat_encode::{encode_vmc, solve_sat, solve_sat_certified, VmcEncoding};
 pub use stream::{
-    verify_stream_bytes, CoreCertificate, ForensicBundle, HotPathConfig, RecorderConfig, RingEntry,
-    StreamConfig, StreamMetrics, StreamReport, StreamVerdict, StreamVerifier, FORENSIC_SCHEMA,
+    verify_stream_bytes, CoreCertificate, ForensicBundle, RecorderConfig, RingEntry, StreamConfig,
+    StreamMetrics, StreamReport, StreamVerdict, StreamVerifier, FORENSIC_SCHEMA,
 };
 pub use verdict::{Verdict, Violation, ViolationKind};
 pub use write_order::solve_with_write_order;

@@ -1,122 +1,39 @@
-//! The ingest-path storage contract, and its dense default.
+//! The ingest-path storage of the streaming engine.
 //!
-//! The per-event hot path of the streaming engine touches four per-address
-//! tables (the placement index, the per-process cursor map, the deferred
-//! read queues, the write-count class map) plus two router-level maps (the
-//! per-shard address table and the first-touch initial/final lookup). The
-//! [`Tables`] / [`Router`] / [`AddrMap`] traits pin down exactly those
-//! touches, so the monitor logic in `stream/mod.rs` is written *once* and
-//! the two storage strategies differ only in representation — which is why
-//! the dense and legacy configurations produce bit-identical reports by
-//! construction.
+//! The per-event hot path touches four per-address tables (the placement
+//! index, the per-process cursors, the deferred read queues, the
+//! write-count class map) plus the router's first-touch initial/final
+//! lookup. [`Tables`] and [`Router`] hold exactly those: open-addressing
+//! Fx-hash maps ([`DenseMap`]), slab-allocated bucket lists with free-list
+//! and arena reuse ([`Slab`], [`Arena`]), and plain per-process vectors.
 //!
-//! [`DenseTables`] is the default: open-addressing Fx-hash maps
-//! ([`DenseMap`]), slab-allocated bucket lists with free-list + arena
-//! reuse ([`Slab`], [`Arena`]), and plain per-process vectors. Steady-state
-//! ingest performs no heap allocation and no SipHash — every structure
-//! reaches its working-set high-water mark and then only reuses memory
-//! (asserted by the counting-allocator harness in
-//! `tests/stream_alloc.rs`). The pre-dense std-`HashMap` strategy lives in
-//! [`super::legacy`] behind [`super::HotPathConfig`] for the `e_hotpath`
-//! ablation.
+//! Once every structure has reached its working-set high-water mark,
+//! ingest only reuses memory: no heap allocation and no SipHash per event
+//! (asserted by the counting-allocator harness in `tests/stream_alloc.rs`
+//! on workloads whose written values repeat). One table is not bounded
+//! that way: `write_counts` holds one entry per distinct value written to
+//! the address, in 24-byte slots at a load of at most 7/8, so on a stream
+//! of unique values it keeps doubling mid-stream (30,000 unique writes to
+//! one address leave it at 65,536 slots, 1.5 MiB). Window retirement does
+//! not shrink it and [`super::StreamMetrics::peak_retained_windows`] does
+//! not count it.
 
-use super::{AddrStream, PendingRead};
-use std::collections::{BTreeMap, VecDeque};
+use super::PendingRead;
+use std::collections::VecDeque;
 use vermem_trace::{Addr, Value};
 use vermem_util::densemap::{Arena, DenseMap, Slab};
-
-/// Per-address storage strategy for the greedy placement monitor.
-///
-/// Slot lists are sorted ascending (slots commit in ascending order and
-/// retire from the bottom); cursors use *presence* semantics — a process
-/// has no cursor until its first placed read or own write, and
-/// [`Tables::cursor_floor`] is the minimum over present cursors only.
-pub(crate) trait Tables: Sized + Send + 'static {
-    /// Router-level tables (initials/finals and the first-touch set).
-    type Router: Router;
-    /// The per-shard address table.
-    type AddrMap: AddrMap<Self>;
-    /// Whether ingest decodes through `ChunkReader::next_batch` (the block
-    /// decoder) instead of one `next()` call per event.
-    const BATCHED: bool;
-
-    /// Fresh tables for an address with `procs` processes, seeded with
-    /// `initial` current at slot 0.
-    fn new(procs: usize, initial: Value) -> Self;
-
-    // --- placement index: value → sorted live slots ---
-
-    /// Earliest live slot in `min..=max_slot` where `value` is current.
-    fn place(&self, max_slot: usize, value: Value, min: usize) -> Option<usize>;
-    /// Record that `slot` committed `value` (strictly ascending slots).
-    fn commit_slot(&mut self, value: Value, slot: usize);
-    /// Drop retired `slot` (the globally lowest live slot) for `value`.
-    fn retire_slot(&mut self, value: Value, slot: usize);
-
-    // --- per-process placement cursors ---
-
-    /// The cursor of `proc`, if it has one.
-    fn cursor(&self, proc: u16) -> Option<usize>;
-    /// Set (creating if absent) the cursor of `proc`.
-    fn set_cursor(&mut self, proc: u16, slot: usize);
-    /// Minimum over *present* cursors; `0` when no process has one.
-    fn cursor_floor(&self) -> usize;
-
-    // --- deferred reads, per process in program order ---
-
-    /// The deferred reads of `proc` (empty slice when none).
-    fn pending(&self, proc: u16) -> &[PendingRead];
-    /// Append a deferred read for `proc`.
-    fn pending_push(&mut self, proc: u16, pr: PendingRead);
-    /// Remove the first `n` deferred reads of `proc`.
-    fn pending_pop_front(&mut self, proc: u16, n: usize);
-    /// Move `proc`'s queue out wholesale (for drain-and-report loops that
-    /// also need `&mut self`); pair with [`Tables::pending_restore`] to
-    /// hand the emptied queue's capacity back.
-    fn pending_take(&mut self, proc: u16) -> Vec<PendingRead>;
-    /// Put a queue taken by [`Tables::pending_take`] back in place.
-    fn pending_restore(&mut self, proc: u16, queue: Vec<PendingRead>);
-    /// Push the processes that hold deferred reads, ascending, onto `out`.
-    fn pending_procs(&self, out: &mut Vec<u16>);
-
-    // --- read-map class write counts ---
-
-    /// Increment and return the number of times `value` has been written.
-    fn bump_write(&mut self, value: Value) -> u32;
-}
-
-/// Router-level tables: declared initial/final values plus the first-touch
-/// address set.
-pub(crate) trait Router: Default + Send + 'static {
-    /// Record a declared initial value.
-    fn set_initial(&mut self, addr: Addr, value: Value);
-    /// Record a declared final value.
-    fn set_final(&mut self, addr: Addr, value: Value);
-    /// First touch of `addr`: record it and return its
-    /// `(initial, declared final)`; `None` on every later touch.
-    fn first_touch(&mut self, addr: Addr) -> Option<(Value, Option<Value>)>;
-}
-
-/// The per-shard address table.
-pub(crate) trait AddrMap<T: Tables>: Default + Send {
-    /// The state of `addr`, if the shard has seen it.
-    fn get(&self, addr: Addr) -> Option<&AddrStream<T>>;
-    /// The state of `addr`, created by `make` on first touch.
-    fn get_or_insert_with(
-        &mut self,
-        addr: Addr,
-        make: impl FnOnce() -> AddrStream<T>,
-    ) -> &mut AddrStream<T>;
-    /// Move every entry into `out` (the end-of-stream merge).
-    fn drain_into(&mut self, out: &mut BTreeMap<Addr, AddrStream<T>>);
-}
 
 /// Cursor sentinel: the process has not placed a read or committed a write
 /// yet. Slots count committed writes, so a real cursor never reaches it.
 const NO_CURSOR: usize = usize::MAX;
 
-/// Dense, index-addressed tables: the allocation-free default.
-pub(crate) struct DenseTables {
+/// Per-address tables of the greedy placement monitor.
+///
+/// Slot lists are sorted ascending (slots commit in ascending order and
+/// retire from the bottom); cursors use *presence* semantics — a process
+/// has no cursor until its first placed read or own write, and
+/// [`Tables::cursor_floor`] is the minimum over present cursors only.
+pub(crate) struct Tables {
     /// `value → index into `buckets`` on the Fx hash stream.
     slot_lists: DenseMap<u64, u32>,
     /// The sorted live-slot list of each value with live slots.
@@ -125,19 +42,17 @@ pub(crate) struct DenseTables {
     bucket_arena: Arena<VecDeque<usize>>,
     /// Per-process cursor, [`NO_CURSOR`] = absent.
     cursors: Vec<usize>,
-    /// Per-process deferred reads.
+    /// Per-process deferred reads, in program order.
     deferred: Vec<Vec<PendingRead>>,
     /// `value → times written` on the Fx hash stream.
     write_counts: DenseMap<u64, u32>,
 }
 
-impl Tables for DenseTables {
-    type Router = DenseRouter;
-    type AddrMap = DenseAddrMap<DenseTables>;
-    const BATCHED: bool = true;
-
-    fn new(procs: usize, initial: Value) -> Self {
-        let mut t = DenseTables {
+impl Tables {
+    /// Fresh tables for an address with `procs` processes, seeded with
+    /// `initial` current at slot 0.
+    pub(crate) fn new(procs: usize, initial: Value) -> Self {
+        let mut t = Tables {
             slot_lists: DenseMap::new(),
             buckets: Slab::new(),
             bucket_arena: Arena::new(),
@@ -145,20 +60,21 @@ impl Tables for DenseTables {
             deferred: vec![Vec::new(); procs],
             write_counts: DenseMap::new(),
         };
-        // Slot 0 carries the initial value.
         t.commit_slot(initial, 0);
         t
     }
 
+    /// Earliest live slot in `min..=max_slot` where `value` is current.
     #[inline]
-    fn place(&self, max_slot: usize, value: Value, min: usize) -> Option<usize> {
+    pub(crate) fn place(&self, max_slot: usize, value: Value, min: usize) -> Option<usize> {
         let &idx = self.slot_lists.get(value.0)?;
         let slots = self.buckets.get(idx).expect("indexed bucket is live");
         let i = slots.partition_point(|&s| s < min);
         slots.get(i).copied().filter(|&s| s <= max_slot)
     }
 
-    fn commit_slot(&mut self, value: Value, slot: usize) {
+    /// Record that `slot` committed `value` (strictly ascending slots).
+    pub(crate) fn commit_slot(&mut self, value: Value, slot: usize) {
         match self.slot_lists.get(value.0) {
             Some(&idx) => self
                 .buckets
@@ -174,7 +90,8 @@ impl Tables for DenseTables {
         }
     }
 
-    fn retire_slot(&mut self, value: Value, slot: usize) {
+    /// Drop retired `slot` (the globally lowest live slot) for `value`.
+    pub(crate) fn retire_slot(&mut self, value: Value, slot: usize) {
         let Some(&idx) = self.slot_lists.get(value.0) else {
             return;
         };
@@ -188,19 +105,22 @@ impl Tables for DenseTables {
         }
     }
 
+    /// The cursor of `proc`, if it has one.
     #[inline]
-    fn cursor(&self, proc: u16) -> Option<usize> {
+    pub(crate) fn cursor(&self, proc: u16) -> Option<usize> {
         let c = self.cursors[usize::from(proc)];
         (c != NO_CURSOR).then_some(c)
     }
 
+    /// Set (creating if absent) the cursor of `proc`.
     #[inline]
-    fn set_cursor(&mut self, proc: u16, slot: usize) {
+    pub(crate) fn set_cursor(&mut self, proc: u16, slot: usize) {
         debug_assert_ne!(slot, NO_CURSOR);
         self.cursors[usize::from(proc)] = slot;
     }
 
-    fn cursor_floor(&self) -> usize {
+    /// Minimum over *present* cursors; `0` when no process has one.
+    pub(crate) fn cursor_floor(&self) -> usize {
         self.cursors
             .iter()
             .copied()
@@ -209,29 +129,37 @@ impl Tables for DenseTables {
             .unwrap_or(0)
     }
 
+    /// The deferred reads of `proc` (empty slice when none).
     #[inline]
-    fn pending(&self, proc: u16) -> &[PendingRead] {
+    pub(crate) fn pending(&self, proc: u16) -> &[PendingRead] {
         &self.deferred[usize::from(proc)]
     }
 
+    /// Append a deferred read for `proc`.
     #[inline]
-    fn pending_push(&mut self, proc: u16, pr: PendingRead) {
+    pub(crate) fn pending_push(&mut self, proc: u16, pr: PendingRead) {
         self.deferred[usize::from(proc)].push(pr);
     }
 
-    fn pending_pop_front(&mut self, proc: u16, n: usize) {
+    /// Remove the first `n` deferred reads of `proc`.
+    pub(crate) fn pending_pop_front(&mut self, proc: u16, n: usize) {
         self.deferred[usize::from(proc)].drain(..n);
     }
 
-    fn pending_take(&mut self, proc: u16) -> Vec<PendingRead> {
+    /// Move `proc`'s queue out wholesale (for drain-and-report loops that
+    /// also need `&mut self`); pair with [`Tables::pending_restore`] to
+    /// hand the emptied queue's capacity back.
+    pub(crate) fn pending_take(&mut self, proc: u16) -> Vec<PendingRead> {
         std::mem::take(&mut self.deferred[usize::from(proc)])
     }
 
-    fn pending_restore(&mut self, proc: u16, queue: Vec<PendingRead>) {
+    /// Put a queue taken by [`Tables::pending_take`] back in place.
+    pub(crate) fn pending_restore(&mut self, proc: u16, queue: Vec<PendingRead>) {
         self.deferred[usize::from(proc)] = queue;
     }
 
-    fn pending_procs(&self, out: &mut Vec<u16>) {
+    /// Push the processes that hold deferred reads, ascending, onto `out`.
+    pub(crate) fn pending_procs(&self, out: &mut Vec<u16>) {
         for (p, queue) in self.deferred.iter().enumerate() {
             if !queue.is_empty() {
                 out.push(p as u16);
@@ -239,33 +167,39 @@ impl Tables for DenseTables {
         }
     }
 
+    /// Increment and return the number of times `value` has been written.
     #[inline]
-    fn bump_write(&mut self, value: Value) -> u32 {
+    pub(crate) fn bump_write(&mut self, value: Value) -> u32 {
         let count = self.write_counts.get_or_insert_with(value.0, || 0);
         *count += 1;
         *count
     }
 }
 
-/// Dense router tables on the Fx hash stream (no SipHash per event).
+/// Router-level tables: declared initial/final values plus the first-touch
+/// address set, on the Fx hash stream.
 #[derive(Default)]
-pub(crate) struct DenseRouter {
+pub(crate) struct Router {
     initials: DenseMap<u32, Value>,
     finals: DenseMap<u32, Value>,
     seen: DenseMap<u32, ()>,
 }
 
-impl Router for DenseRouter {
-    fn set_initial(&mut self, addr: Addr, value: Value) {
+impl Router {
+    /// Record a declared initial value.
+    pub(crate) fn set_initial(&mut self, addr: Addr, value: Value) {
         self.initials.insert(addr.0, value);
     }
 
-    fn set_final(&mut self, addr: Addr, value: Value) {
+    /// Record a declared final value.
+    pub(crate) fn set_final(&mut self, addr: Addr, value: Value) {
         self.finals.insert(addr.0, value);
     }
 
+    /// First touch of `addr`: record it and return its
+    /// `(initial, declared final)`; `None` on every later touch.
     #[inline]
-    fn first_touch(&mut self, addr: Addr) -> Option<(Value, Option<Value>)> {
+    pub(crate) fn first_touch(&mut self, addr: Addr) -> Option<(Value, Option<Value>)> {
         if self.seen.insert(addr.0, ()).is_some() {
             return None;
         }
@@ -273,36 +207,5 @@ impl Router for DenseRouter {
             self.initials.get(addr.0).copied().unwrap_or(Value::INITIAL),
             self.finals.get(addr.0).copied(),
         ))
-    }
-}
-
-/// Dense per-shard address table.
-pub(crate) struct DenseAddrMap<T: Tables>(DenseMap<u32, AddrStream<T>>);
-
-impl<T: Tables> Default for DenseAddrMap<T> {
-    fn default() -> Self {
-        DenseAddrMap(DenseMap::new())
-    }
-}
-
-impl<T: Tables> AddrMap<T> for DenseAddrMap<T> {
-    #[inline]
-    fn get(&self, addr: Addr) -> Option<&AddrStream<T>> {
-        self.0.get(addr.0)
-    }
-
-    #[inline]
-    fn get_or_insert_with(
-        &mut self,
-        addr: Addr,
-        make: impl FnOnce() -> AddrStream<T>,
-    ) -> &mut AddrStream<T> {
-        self.0.get_or_insert_with(addr.0, make)
-    }
-
-    fn drain_into(&mut self, out: &mut BTreeMap<Addr, AddrStream<T>>) {
-        for (key, state) in self.0.drain() {
-            out.insert(Addr(key), state);
-        }
     }
 }

@@ -1,8 +1,7 @@
 //! Kernel parity on *captured* executions: traces recorded from the MESI
 //! simulator (healthy and fault-injected) must get the same verdict from
 //! each kernel-backed operational engine (SC, TSO, PSO) as from the
-//! axiomatic SAT oracle — under both memo-key representations and with
-//! feasibility pruning on or off.
+//! axiomatic SAT oracle — with feasibility pruning on or off.
 
 use vermem_consistency::{
     solve_model_sat, verify_model_operational, ConsistencyVerdict, KernelConfig, MemoryModel,
@@ -12,10 +11,9 @@ use vermem_trace::Trace;
 
 const OPERATIONAL: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
 
-fn knob_grid() -> [KernelConfig; 4] {
-    std::array::from_fn(|bits| KernelConfig {
-        feasibility: bits & 1 == 0,
-        legacy_keys: bits & 2 != 0,
+fn knob_grid() -> [KernelConfig; 2] {
+    [true, false].map(|feasibility| KernelConfig {
+        feasibility,
         ..Default::default()
     })
 }

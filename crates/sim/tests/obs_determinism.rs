@@ -128,7 +128,6 @@ fn obs_toggle_changes_no_observable_result() {
                 temporal: true,
                 verifier: VmcVerifier::new(),
                 recorder: None,
-                hot_path: Default::default(),
             };
             let live_cfg = || StreamConfig {
                 recorder: Some(RecorderConfig::default()),

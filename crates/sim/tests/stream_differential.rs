@@ -31,7 +31,6 @@ fn stream_config(window: Option<usize>, jobs: usize, temporal: bool) -> StreamCo
         temporal,
         verifier: VmcVerifier::new(),
         recorder: None,
-        hot_path: Default::default(),
     }
 }
 

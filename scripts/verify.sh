@@ -84,25 +84,40 @@ fi
 echo "    ok"
 
 echo "==> hot paths: no std/Fx HashMap or HashSet in the stream engine or the closure fixpoint"
-# The PR-9 contract: the ingest hot path (stream engine, dense tables,
-# batch decoder) runs on index-addressed dense structures only. Hashed
-# containers may appear solely in crates/coherence/src/stream/legacy.rs,
-# the preserved pre-dense baseline behind `--hot-path legacy`. The
-# closure fixpoint (windows.rs) holds to the same rule: dense value ids,
-# CSR writers and a bit-matrix edge set instead of per-address hash maps
-# and sets. The gate bans the std and Fx `HashMap`/`HashSet` types, not
-# hashing as such: the fixpoint's sparse edge set above the deep-rule cap
-# is a `DenseMap`, the open-addressed integer table from util::densemap.
-# Doc comments may *name* HashMap/HashSet; code may not.
-hash_sites=$(grep -nE 'Hash(Map|Set)' \
-    crates/coherence/src/stream/mod.rs \
-    crates/coherence/src/stream/tables.rs \
+# The PR-9 contract: the ingest hot path (every file of the stream
+# engine, and the batch decoder) runs on index-addressed dense structures
+# only, with no exception. The closure fixpoint (windows.rs) holds to the
+# same rule: dense value ids, CSR writers and a bit-matrix edge set
+# instead of per-address hash maps and sets. The gate bans the std and Fx
+# `HashMap`/`HashSet` types, not hashing as such: the fixpoint's sparse
+# edge set above the deep-rule cap is a `DenseMap`, the open-addressed
+# integer table from util::densemap. Doc comments may *name*
+# HashMap/HashSet; code may not.
+hash_sites=$(grep -rnE 'Hash(Map|Set)' \
+    crates/coherence/src/stream/ \
     crates/trace/src/binary.rs \
     crates/coherence/src/windows.rs \
     | grep -vE ':[0-9]+:[[:space:]]*//' || true)
 if [[ -n "$hash_sites" ]]; then
-    echo "HashMap/HashSet on a hot path (only stream/legacy.rs may use them):" >&2
+    echo "HashMap/HashSet on a hot path:" >&2
     echo "$hash_sites" >&2
+    exit 1
+fi
+echo "    ok"
+
+echo "==> memo tables: no std HashMap or HashSet in the exact searches"
+# The visited-state sets of the VMC search (backtrack.rs) and of the
+# model-agnostic kernel (kernel.rs) are the Fx-hashed packed/interned
+# tiers, with no per-probe allocation. A SipHash std map or set (a name
+# not prefixed by `Fx`) in either file means a second memo representation
+# came back. Doc comments may name them; code may not.
+std_sites=$(grep -nE '(^|[^A-Za-z_])Hash(Map|Set)' \
+    crates/coherence/src/kernel.rs \
+    crates/coherence/src/backtrack.rs \
+    | grep -vE ':[0-9]+:[[:space:]]*//' || true)
+if [[ -n "$std_sites" ]]; then
+    echo "std HashMap/HashSet in an exact-search memo:" >&2
+    echo "$std_sites" >&2
     exit 1
 fi
 echo "    ok"
@@ -130,10 +145,9 @@ tmp=$(mktemp -d)
 python3 - "$tmp/BENCH_vmc.json" "BENCH_vmc.json" <<'EOF'
 import json, sys
 d = json.load(open(sys.argv[1]))
-assert d["schema"] == "vermem-bench-vmc/v9", d["schema"]
-assert d["par_verify"] and d["memo_ablation"] and d["prune_ablation"] \
-    and d["model_kernel"] and d["tier_ablation"] and d["eaxiom"] \
-    and d["estream"] and d["e_hotpath"], "empty receipts"
+assert d["schema"] == "vermem-bench-vmc/v10", d["schema"]
+assert d["par_verify"] and d["prune_ablation"] and d["model_kernel"] \
+    and d["tier_ablation"] and d["eaxiom"] and d["estream"], "empty receipts"
 host = d["host_parallelism"]
 assert host >= 1, host
 for case in d["par_verify"]:
@@ -145,12 +159,8 @@ for case in d["par_verify"]:
     for p in case["points"]:
         assert p["median_secs"] > 0 and p["ops_per_sec"] > 0
         assert p["overhead_only"] == (p["jobs"] > host), p
-for row in d["memo_ablation"]:
-    assert row["memo_hits"] >= 0 and row["memo_misses"] > 0, row
-    assert row["states"] == row["memo_misses"], \
-        "every visited state is a memo miss: %r" % row
-
-# E-PRUNE shape: 5 configs per case, prune counters present, and within
+# E-PRUNE shape: 5 configs per case, prune counters present, every
+# visited state a memo miss (memoize is on in every config), and within
 # each case every pruned config explores at most the baseline's states.
 prune = d["prune_ablation"]
 by_case = {}
@@ -158,6 +168,9 @@ for row in prune:
     for k in ("states", "window_prunes", "symmetry_prunes",
               "nogood_hits", "nogoods_learned"):
         assert row[k] >= 0, row
+    assert row["memo_hits"] >= 0, row
+    assert row["states"] == row["memo_misses"], \
+        "every visited state is a memo miss: %r" % row
     by_case.setdefault(row["case"], {})[row["config"]] = row
 for case, rows in by_case.items():
     assert set(rows) == {"none", "windows", "symmetry", "nogoods", "all"}, \
@@ -167,23 +180,30 @@ for case, rows in by_case.items():
         assert row["states"] <= base, \
             f"{case}/{cfg}: pruning grew the search ({row['states']} > {base})"
 
-# E-KERNEL shape: per (case, model) exactly the kernel and legacy-keys
-# configs; both walk the identical state set (memo_misses == states, as
-# memoization is integral to the kernel); the packed/interned key path
-# never allocates more key storage than legacy alloc-per-probe.
-mk_by = {}
-for row in d["model_kernel"]:
-    assert row["model"] in ("SC", "TSO", "PSO"), row
-    assert row["states"] > 0 and row["states"] == row["memo_misses"], row
-    assert row["verdict"] in ("consistent", "violating", "unknown"), row
-    mk_by.setdefault((row["case"], row["model"]), {})[row["config"]] = row
-for (case, model), rows in mk_by.items():
-    assert set(rows) == {"kernel", "legacy-keys"}, (case, model, sorted(rows))
-    k, l = rows["kernel"], rows["legacy-keys"]
-    assert k["states"] == l["states"], \
-        f"{case}/{model}: key representations visited different state sets"
-    assert k["key_allocs"] <= l["key_allocs"], \
-        f"{case}/{model}: kernel keys allocated more than legacy"
+# E-KERNEL shape: exactly one row per (case, model); memo_misses ==
+# states (memoization is integral to the kernel); no probe allocates, so
+# key allocations never exceed states; and where every key fits two
+# words (SC on one address) the memo allocates nothing at all.
+def kernel_check(doc, which):
+    seen = set()
+    for row in doc["model_kernel"]:
+        assert row["model"] in ("SC", "TSO", "PSO"), row
+        assert row["states"] > 0 and row["states"] == row["memo_misses"], \
+            (which, row)
+        assert row["verdict"] in ("consistent", "violating", "unknown"), row
+        key = (row["case"], row["model"])
+        assert key not in seen, f"{which}: duplicate E-KERNEL row {key}"
+        seen.add(key)
+        assert row["key_allocs"] <= row["states"], \
+            f"{which}: {key}: more key allocations than states: {row}"
+        if row["case"].startswith("gen-3p-") \
+           and row["case"].endswith("-1addr") and row["model"] == "SC":
+            assert row["key_allocs"] == 0, \
+                f"{which}: {key}: two-word keys allocated: {row}"
+    assert len({c for (c, _) in seen}) == 2 and \
+        {m for (_, m) in seen} == {"SC", "TSO", "PSO"}, (which, sorted(seen))
+
+kernel_check(d, "fresh")
 
 # E-TIER shape: per family exactly the tiered and exact-only configs;
 # the tier split always accounts for every processed address; and the two
@@ -300,34 +320,6 @@ def estream_check(doc, which):
 
 estream_check(d, "fresh")
 
-# E-HOTPATH shape: per stream count {1, 4, 16} exactly the dense and
-# legacy storage configs, measured on the same workload; report identity
-# (verdict_parity) asserted in-bench at jobs {1, 2, 8}; legacy is its own
-# speedup baseline (1.0 by construction).
-def hotpath_check(doc, which):
-    rows = doc["e_hotpath"]
-    assert [(r["streams"], r["config"]) for r in rows] == \
-        [(1, "dense"), (1, "legacy"), (4, "dense"), (4, "legacy"),
-         (16, "dense"), (16, "legacy")], \
-        (which, [(r["streams"], r["config"]) for r in rows])
-    by = {}
-    for r in rows:
-        assert r["events"] > 0 and r["median_secs"] > 0, r
-        assert r["sustained_ops_per_sec"] > 0, r
-        assert r["verdict_parity"] is True, \
-            f"{which}: dense vs legacy report drift: {r}"
-        by[(r["streams"], r["config"])] = r
-    for s in (1, 4, 16):
-        dn, lg = by[(s, "dense")], by[(s, "legacy")]
-        assert dn["events"] == lg["events"], (which, s, "workload mismatch")
-        assert lg["speedup_vs_legacy"] == 1.0, lg
-        ratio = lg["median_secs"] / dn["median_secs"]
-        assert abs(dn["speedup_vs_legacy"] - ratio) < 0.05 * ratio, \
-            f"{which}: speedup column inconsistent with medians at {s} streams"
-    return by
-
-fresh_hot = hotpath_check(d, "fresh")
-
 # Headline claim: on the §5.2 blow-up instance, --prune=all shrinks
 # memo_misses (== states explored) by at least 5x vs --prune=none.
 e52 = by_case["e5.2-overcons"]
@@ -336,53 +328,33 @@ assert ratio >= 5.0, f"e5.2 prune ratio regressed to {ratio:.1f}x (< 5x)"
 
 # Non-regression against the committed receipt: a decided pruned row must
 # not explore more states than the committed run plus 5% slack (decided
-# rows are cap-independent, so fast/full receipts are comparable).
+# rows are cap-independent, so fast/full receipts are comparable). The
+# committed receipt must carry the current schema, so these checks can
+# never be skipped by a stale receipt.
 committed = json.load(open(sys.argv[2]))
-if committed.get("schema") == "vermem-bench-vmc/v9":
-    # The committed receipt must itself pass the tier, axiom, estream,
-    # and hotpath shape checks — including the 90% healthy-sim frontline
-    # gate, the 90% RA decision-rate gate, the streaming-vs-batch
-    # verdict-parity flags, and the bounded-memory 10x-length
-    # peak-retained-windows invariance.
-    tier_check(committed, "committed")
-    axiom_check(committed, "committed")
-    estream_check(committed, "committed")
-    comm_hot = hotpath_check(committed, "committed")
-    # Headline gate (PR-9): the committed full-reps receipt shows the
-    # dense structures >= 1.5x over the std-HashMap baseline at the
-    # 4-stream serve point.
-    headline = comm_hot[(4, "dense")]["speedup_vs_legacy"]
-    assert headline >= 1.5, \
-        f"committed 4-stream dense speedup regressed to {headline:.2f}x"
-    # Dense-ingest non-regression, host-relative: E-HOTPATH measures the
-    # identical workload in fast and full mode, and its speedup column is
-    # the median over 21 interleaved dense/legacy pairs of legacy/dense
-    # time, so host speed cancels out (an absolute ops/s floor failed on
-    # slower shared hosts with no code change). Each stream count must
-    # keep its fresh speedup >= 90% of the committed one — the per-row
-    # 10% slack of the absolute floor this replaces. Noise measured on a
-    # shared 2-vCPU x86-64 guest, 50 fast-mode runs of this timing: the
-    # lowest fresh/committed ratio was 0.947 at 1 stream, 1.030 at 4 and
-    # 0.979 at 16 (medians 1.012, 1.117, 1.040; the committed rows were
-    # timed before the pairing, as medians of seven sequential reps).
-    for s in (1, 4, 16):
-        rel = fresh_hot[(s, "dense")]["speedup_vs_legacy"] / \
-            comm_hot[(s, "dense")]["speedup_vs_legacy"]
-        assert rel >= 0.90, \
-            (f"dense ingest speedup over legacy regressed at {s} streams: "
-             f"fresh/committed {rel:.3f} < 0.90")
-    comm_by_case = {}
-    for row in committed["prune_ablation"]:
-        comm_by_case.setdefault(row["case"], {})[row["config"]] = row
-    for case, rows in by_case.items():
-        for cfg, row in rows.items():
-            old = comm_by_case.get(case, {}).get(cfg)
-            if old is None or row["verdict"] == "capped" \
-               or old["verdict"] == "capped":
-                continue
-            limit = old["states"] * 1.05
-            assert row["states"] <= limit, \
-                f"{case}/{cfg}: states regressed {old['states']} -> {row['states']}"
+assert committed.get("schema") == "vermem-bench-vmc/v10", \
+    f"committed receipt schema {committed.get('schema')} is not v10"
+# The committed receipt must itself pass the tier, axiom, estream and
+# kernel shape checks — including the 90% healthy-sim frontline gate, the
+# 90% RA decision-rate gate, the streaming-vs-batch verdict-parity
+# flags, the bounded-memory 10x-length peak-retained-windows
+# invariance, and the kernel's key-allocation counters.
+tier_check(committed, "committed")
+axiom_check(committed, "committed")
+estream_check(committed, "committed")
+kernel_check(committed, "committed")
+comm_by_case = {}
+for row in committed["prune_ablation"]:
+    comm_by_case.setdefault(row["case"], {})[row["config"]] = row
+for case, rows in by_case.items():
+    for cfg, row in rows.items():
+        old = comm_by_case.get(case, {}).get(cfg)
+        if old is None or row["verdict"] == "capped" \
+           or old["verdict"] == "capped":
+            continue
+        limit = old["states"] * 1.05
+        assert row["states"] <= limit, \
+            f"{case}/{cfg}: states regressed {old['states']} -> {row['states']}"
 
 obs = d["obs_overhead"]
 assert obs["median_secs_disabled"] > 0 and obs["median_secs_enabled"] > 0, obs
@@ -396,15 +368,12 @@ assert live["verdict_identical"] is True, live
 assert live["forensic_bundles"] >= 0, live
 
 print(f"    ok ({len(d['par_verify'])} par cases, "
-      f"{len(d['memo_ablation'])} memo rows, {len(prune)} prune rows, "
+      f"{len(prune)} prune rows, "
       f"{len(d['model_kernel'])} model-kernel rows, "
       f"{len(d['tier_ablation'])} tier rows, "
       f"{len(d['eaxiom'])} axiom rows "
       f"(RA frontline {d['eaxiom_ra_frontline']['decision_rate']:.0%}), "
       f"{len(d['estream'])} estream rows, "
-      f"{len(d['e_hotpath'])} hotpath rows "
-      f"(dense {fresh_hot[(4, 'dense')]['speedup_vs_legacy']:.2f}x at 4 "
-      f"streams), "
       f"e5.2 prune ratio {ratio:.0f}x, "
       f"obs overhead {obs['enabled_overhead_pct']:+.2f}%, "
       f"live obs {live['enabled_overhead_pct']:+.2f}% "
